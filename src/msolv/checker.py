@@ -6,17 +6,17 @@ interference, every user's map vector ranges over exactly the invariant's
 allowed set at the current control state, so a reachable region is
 ``(control, per-user value sets)``. Transitions fork only on the user cells
 a transaction actually reads, which keeps the search small while staying
-exact. Frozen (invariant-violating) successors are reported but never
-expanded. Breadth-first levels guarantee minimal counterexample traces, and
-per-level deterministic merging makes verdicts independent of worker count.
+exact. A class that is neither initial nor frozen is exactly
+``(control, allowed(control))``, so it is keyed by its control alone.
+Frozen (invariant-violating) successors are reported but never expanded.
+Breadth-first levels, each merged in a fixed order, guarantee minimal and
+deterministic counterexample traces.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import PreconditionUnmet
@@ -96,13 +96,6 @@ def verdict_to_json(v: Verdict) -> dict:
     return out
 
 
-def worker_count() -> int:
-    env = os.environ.get("MSOLV_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 # --------------------------------------------------------------------------
 # the local-bundle class engine
 # --------------------------------------------------------------------------
@@ -129,9 +122,16 @@ class _Violation:
 
 
 class _LocalEngine:
+    """Breadth-first search over product classes ``(control_t, domains)``.
+
+    ``domains`` is None for a class that is exactly the invariant's allowed
+    sets at its control; only the initial class and frozen classes carry
+    explicit per-slot value tuples.
+    """
+
     def __init__(self, bundle: ContractBundle, theta: SplitInvariant,
                  addresses: tuple[int, ...], domain: DataDomain,
-                 budget_states: int, budget_secs: float, workers: int | None):
+                 budget_states: int, budget_secs: float):
         self.bundle = bundle
         self.theta = theta
         self.ids = tuple(sorted(addresses))
@@ -140,34 +140,47 @@ class _LocalEngine:
         self.actions = list(enumerate_actions(bundle, self.ids, domain))
         self.budget_states = budget_states
         self.budget_secs = budget_secs
-        self.workers = workers if workers is not None else worker_count()
         self._allowed: dict[tuple, tuple] = {}
-        self._init_theta_ok = True
-        self.parents: dict[tuple, tuple] = {}
-        self.kinds: dict[tuple, str] = {}
-        self.levels: dict[tuple, int] = {}
+        self.parents: dict[tuple, tuple | None] = {}
         self.transitions = 0
         self.started = time.monotonic()
+        zeros = (0,) * self.n_maps
+        control_t = ((0,) * bundle.n_roles, (0,) * bundle.n_data, 0)
+        vectors, allowed = self._allowed_at(control_t)
+        init_domains = tuple((zeros,) for _ in self.ids)
+        self.init = (control_t, None if init_domains == vectors else init_domains)
+        # The first user the initial state puts outside the invariant, if any.
+        self._init_bad_slot = next(
+            (s for s, ok in enumerate(allowed) if zeros not in ok), None)
 
     # -- class plumbing --------------------------------------------------
 
-    def _allowed_domains(self, control_t: tuple) -> tuple:
+    def _allowed_at(self, control_t: tuple) -> tuple:
+        """Per-slot allowed vectors at a control, and the same as frozensets."""
         cached = self._allowed.get(control_t)
         if cached is None:
             control = ControlState(*control_t)
-            cached = tuple(
+            vectors = tuple(
                 allowed_vectors(self.theta, control, uid, self.domain, self.n_maps)
                 for uid in self.ids)
+            cached = (vectors, tuple(frozenset(v) for v in vectors))
             self._allowed[control_t] = cached
         return cached
 
-    def _initial_key(self) -> tuple:
-        zeros = (0,) * self.n_maps
-        control_t = ((0,) * self.bundle.n_roles, (0,) * self.bundle.n_data, 0)
-        return (control_t, tuple(((zeros),) for _ in self.ids))
+    def _domains(self, key: tuple) -> tuple:
+        control_t, domains = key
+        return self._allowed_at(control_t)[0] if domains is None else domains
 
-    def _theta_ok(self, control: ControlState, uid: int, vec: tuple) -> bool:
-        return eval_split(self.theta, control, UserRecord(uid, vec), self.domain)
+    def _is_frozen(self, key: tuple) -> bool:
+        return key[1] is not None and key != self.init
+
+    def _wide_ok(self, control_t: tuple, slot: int, vec: tuple) -> bool:
+        """The invariant on a vector outside the data domain. The allowed
+        sets hold every admitted in-domain vector, so only a literal wider
+        than the domain, written to a map cell, needs evaluating."""
+        return max(vec, default=0) >= self.domain.limit and eval_split(
+            self.theta, ControlState(*control_t), UserRecord(self.ids[slot], vec),
+            self.domain)
 
     # -- expansion ---------------------------------------------------------
 
@@ -175,17 +188,18 @@ class _LocalEngine:
         """All successor records of one class, in deterministic order.
 
         Record shapes:
-          ("succ", ai, assignment, succ_key, succ_kind)
+          ("succ", ai, assignment, succ_key)
           ("theta", ai, assignment, frozen_key, bad_values)
           ("bottom", ai, assignment)
         """
-        control_t, domains = key
+        control_t = key[0]
         control = ControlState(*control_t)
+        domains = self._domains(key)
         dom_map = dict(enumerate(domains))
         # Members of an interference class satisfy the invariant at their own
         # control by construction; only the concrete initial class can break
         # that, in which case reverted transitions must freeze too.
-        pre_theta_ok = self.kinds[key] != "init" or self._init_theta_ok
+        pre_theta_ok = key != self.init or self._init_bad_slot is None
         records: list = []
         n_paths = 0
         for ai, action in enumerate(self.actions):
@@ -198,9 +212,9 @@ class _LocalEngine:
                 if leaf.outcome == "revert" and pre_theta_ok:
                     # The unchanged state is closed under the invariant, so
                     # interference applies directly.
-                    succ = (control_t, self._allowed_domains(control_t))
+                    succ = (control_t, None)
                     if succ != key:
-                        records.append(("succ", ai, leaf.assignment, succ, "g"))
+                        records.append(("succ", ai, leaf.assignment, succ))
                     continue
                 if leaf.outcome == "revert":
                     post_control_t = control_t
@@ -210,7 +224,7 @@ class _LocalEngine:
                     writes = {}
                     for s, c, v in leaf.write_cells:
                         writes.setdefault(s, {})[c] = v
-                post_control = ControlState(*post_control_t)
+                allowed = self._allowed_at(post_control_t)[1]
                 assign = dict(leaf.assignment)
                 post_domains = []
                 all_ok = True
@@ -227,7 +241,7 @@ class _LocalEngine:
                     post_domains.append(post)
                     ok_any = False
                     for v in post:
-                        if self._theta_ok(post_control, self.ids[slot], v):
+                        if v in allowed[slot] or self._wide_ok(post_control_t, slot, v):
                             ok_any = True
                         elif slot not in bad_values:
                             bad_values[slot] = v
@@ -236,8 +250,7 @@ class _LocalEngine:
                     frozen_key = (post_control_t, tuple(post_domains))
                     records.append(("theta", ai, leaf.assignment, frozen_key, bad_values))
                 if all_ok:
-                    succ = (post_control_t, self._allowed_domains(post_control_t))
-                    records.append(("succ", ai, leaf.assignment, succ, "g"))
+                    records.append(("succ", ai, leaf.assignment, (post_control_t, None)))
         return records, n_paths
 
     # -- property evaluation over a class ---------------------------------
@@ -245,8 +258,8 @@ class _LocalEngine:
     def _phi_witness(self, phi: GuardedProperty, key: tuple):
         """None if the property holds everywhere in the class; otherwise a
         (slot values, reason) pair pinning the first violating member."""
-        control_t, domains = key
-        control = ControlState(*control_t)
+        control = ControlState(*key[0])
+        domains = self._domains(key)
         n = len(self.ids)
         for combo in itertools.permutations(range(n), phi.k):
             free = [domains[s] for s in combo]
@@ -261,21 +274,14 @@ class _LocalEngine:
     # -- breadth-first search ----------------------------------------------
 
     def run(self, mode: str, phi: GuardedProperty | None = None) -> Verdict:
-        init = self._initial_key()
+        init = self.init
         self.parents[init] = None
-        self.kinds[init] = "init"
-        self.levels[init] = 0
 
-        control0 = ControlState(*init[0])
-        for slot, uid in enumerate(self.ids):
-            vec = init[1][slot][0]
-            if not self._theta_ok(control0, uid, vec):
-                self._init_theta_ok = False
-                if mode == "compositional":
-                    return self._cex("cex_invariant", _Violation(
-                        (0,), "theta", init, None, None, None, {slot: vec},
-                        f"initial state violates the invariant for user {uid}"))
-                break
+        bad = self._init_bad_slot
+        if mode == "compositional" and bad is not None:
+            return self._cex("cex_invariant", _Violation(
+                (0,), "theta", init, None, None, None, {bad: (0,) * self.n_maps},
+                f"initial state violates the invariant for user {self.ids[bad]}"))
         if mode == "safety":
             w = self._phi_witness(phi, init)
             if w is not None:
@@ -284,16 +290,15 @@ class _LocalEngine:
 
         frontier = [init]
         while frontier:
-            if len(self.parents) > self.budget_states:
-                return self._exhausted("state budget exceeded")
-            if time.monotonic() - self.started > self.budget_secs:
-                return self._exhausted("time budget exceeded")
-            expansions = self._expand_level(frontier)
             violations: list[_Violation] = []
             next_frontier: list[tuple] = []
-            for order, (key, (records, n_paths)) in enumerate(zip(frontier, expansions)):
+            for order, key in enumerate(frontier):
+                if len(self.parents) > self.budget_states:
+                    return self._exhausted("state budget exceeded")
+                if time.monotonic() - self.started > self.budget_secs:
+                    return self._exhausted("time budget exceeded")
+                records, n_paths = self._expand(key)
                 self.transitions += n_paths
-                level = self.levels[key]
                 for ri, rec in enumerate(records):
                     tag = rec[0]
                     if tag == "bottom":
@@ -314,19 +319,15 @@ class _LocalEngine:
                             # hold on them, but they are never expanded.
                             if frozen_key not in self.parents:
                                 self.parents[frozen_key] = (key, ai, assignment)
-                                self.kinds[frozen_key] = "frozen"
-                                self.levels[frozen_key] = level + 1
                                 w = self._phi_witness(phi, frozen_key)
                                 if w is not None:
                                     violations.append(_Violation(
                                         (order, ai, ri), "phi", frozen_key, key,
                                         ai, assignment, w[0], w[1]))
                         continue
-                    _, ai, assignment, succ, kind = rec
+                    _, ai, assignment, succ = rec
                     if succ not in self.parents:
                         self.parents[succ] = (key, ai, assignment)
-                        self.kinds[succ] = kind
-                        self.levels[succ] = level + 1
                         next_frontier.append(succ)
                         if mode == "safety":
                             w = self._phi_witness(phi, succ)
@@ -343,15 +344,9 @@ class _LocalEngine:
             frontier = next_frontier
 
         invariant = tuple(sorted(
-            {ControlState(*k[0]) for k, kind in self.kinds.items() if kind != "frozen"},
+            {ControlState(*k[0]) for k in self.parents if not self._is_frozen(k)},
             key=lambda c: (c.roles, c.data, c.ctor_done)))
         return Verdict("safe", self._stats(), invariant=invariant)
-
-    def _expand_level(self, frontier: list) -> list:
-        if self.workers <= 1 or len(frontier) < 4:
-            return [self._expand(k) for k in frontier]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(self._expand, frontier))
 
     def _stats(self) -> Stats:
         return Stats(len(self.parents), self.transitions,
@@ -376,7 +371,7 @@ class _LocalEngine:
         if vio.kind == "bottom":
             final_need: dict[int, tuple] | None = None
         else:
-            _, fdomains = vio.key
+            fdomains = self._domains(vio.key)
             final_need = {}
             for s in range(len(self.ids)):
                 if vio.values is not None and s in vio.values:
@@ -391,18 +386,15 @@ class _LocalEngine:
         needs[-1] = final_need
         for t in range(len(chain) - 1, -1, -1):
             pre_key, ai, assignment = chain[t]
-            control_t, domains = pre_key
-            control = ControlState(*control_t)
-            action = self.actions[ai]
-            leaf = self._find_leaf(pre_key, action, assignment)
+            domains = self._domains(pre_key)
+            leaf = self._find_leaf(pre_key, self.actions[ai], assignment)
             writes: dict[int, dict[int, int]] = {}
             if leaf.outcome == "ok":
                 for s, c, v in leaf.write_cells:
                     writes.setdefault(s, {})[c] = v
             assign = dict(assignment)
-            succ_is_frozen = (t == len(chain) - 1 and vio.kind == "theta") or \
-                             (t == len(chain) - 1 and vio.kind == "phi" and
-                              self.kinds.get(vio.key) == "frozen")
+            succ_is_frozen = t == len(chain) - 1 and (
+                vio.kind == "theta" or (vio.kind == "phi" and self._is_frozen(vio.key)))
             pre_vals: dict[int, tuple] = {}
             for slot in range(len(self.ids)):
                 if slot in assign:
@@ -413,9 +405,8 @@ class _LocalEngine:
                     target = needs[t + 1][slot]
                     pre_vals[slot] = self._invert_write(domains[slot], target, w)
                 elif leaf.outcome == "ok":
-                    post_control = ControlState(*leaf.control_after)
-                    pre_vals[slot] = self._pick_theta_ok(domains[slot], w, post_control,
-                                                         self.ids[slot])
+                    pre_vals[slot] = self._pick_theta_ok(domains[slot], w,
+                                                         leaf.control_after, slot)
                 else:
                     pre_vals[slot] = domains[slot][0]
             needs[t] = pre_vals
@@ -440,9 +431,8 @@ class _LocalEngine:
         return Verdict(result, self._stats(), trace=trace, reason=vio.reason)
 
     def _find_leaf(self, key: tuple, action: Action, assignment: tuple):
-        control_t, domains = key
-        leaves = explore(self.bundle, ControlState(*control_t), self.ids,
-                         dict(enumerate(domains)), action, self.domain)
+        leaves = explore(self.bundle, ControlState(*key[0]), self.ids,
+                         dict(enumerate(self._domains(key))), action, self.domain)
         for leaf in leaves:
             if leaf.assignment == assignment:
                 return leaf
@@ -456,9 +446,11 @@ class _LocalEngine:
         raise AssertionError("frozen-state value has no pre-image")
 
     def _pick_theta_ok(self, domain_vals: tuple, writes: dict[int, int],
-                       post_control: ControlState, uid: int) -> tuple:
+                       post_control_t: tuple, slot: int) -> tuple:
+        allowed = self._allowed_at(post_control_t)[1][slot]
         for v in domain_vals:
-            if self._theta_ok(post_control, uid, _apply_writes(v, writes)):
+            post = _apply_writes(v, writes)
+            if post in allowed or self._wide_ok(post_control_t, slot, post):
                 return v
         raise AssertionError("recorded interference successor has no witness")
 
@@ -469,8 +461,7 @@ class _LocalEngine:
 
 def check_compositional(bundle: ContractBundle, ptg: PtGraph, theta: SplitInvariant,
                         domain: DataDomain, *, budget_states: int = DEFAULT_BUDGET_STATES,
-                        budget_secs: float = DEFAULT_BUDGET_SECS,
-                        workers: int | None = None) -> Verdict:
+                        budget_secs: float = DEFAULT_BUDGET_SECS) -> Verdict:
     """The compositionality proof rule: explore the local bundle over the
     saturating neighbourhood plus one arbitrary user; the invariant is an
     interference invariant iff no reachable state escapes it."""
@@ -478,8 +469,7 @@ def check_compositional(bundle: ContractBundle, ptg: PtGraph, theta: SplitInvari
                                     theta.lit_guard_addresses)
     a_plus = extend_neighbourhood(nbhd, "compositionality")
     check_guards_in_scope(theta, a_plus)
-    engine = _LocalEngine(bundle, theta, a_plus, domain,
-                          budget_states, budget_secs, workers)
+    engine = _LocalEngine(bundle, theta, a_plus, domain, budget_states, budget_secs)
     return engine.run("compositional")
 
 
@@ -487,7 +477,6 @@ def check_safety(bundle: ContractBundle, ptg: PtGraph, theta: SplitInvariant,
                  phi: GuardedProperty, domain: DataDomain, *,
                  budget_states: int = DEFAULT_BUDGET_STATES,
                  budget_secs: float = DEFAULT_BUDGET_SECS,
-                 workers: int | None = None,
                  require_interference_invariant: bool = True) -> Verdict:
     """The k-universal safety proof rule over the local bundle.
 
@@ -503,7 +492,7 @@ def check_safety(bundle: ContractBundle, ptg: PtGraph, theta: SplitInvariant,
     if require_interference_invariant:
         comp = check_compositional(bundle, ptg, theta, domain,
                                    budget_states=budget_states,
-                                   budget_secs=budget_secs, workers=workers)
+                                   budget_secs=budget_secs)
         if not comp.is_safe:
             raise PreconditionUnmet(
                 f"the invariant is not an interference invariant ({comp.result})")
@@ -514,8 +503,7 @@ def check_safety(bundle: ContractBundle, ptg: PtGraph, theta: SplitInvariant,
     a_plus = extend_neighbourhood(nbhd, "safety", k=phi.k)
     check_guards_in_scope(theta, a_plus)
     check_guards_in_scope(phi, a_plus)
-    engine = _LocalEngine(bundle, theta, a_plus, domain,
-                          budget_states, budget_secs, workers)
+    engine = _LocalEngine(bundle, theta, a_plus, domain, budget_states, budget_secs)
     return engine.run("safety", phi)
 
 

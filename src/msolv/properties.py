@@ -93,10 +93,6 @@ class ObliviousPredicate:
         maps = tuple(u.map_vals for u in users)
         return self._fn(control.data, maps, domain.limit)
 
-    def evaluate_maps(self, control_data: tuple[int, ...],
-                      maps: tuple[tuple[int, ...], ...], limit: int) -> bool:
-        return self._fn(control_data, maps, limit)
-
 
 class _PredCompiler:
     def __init__(self, layout: VariableLayout | None):

@@ -174,11 +174,6 @@ class NeedChoice(Exception):
         self.slot = slot
 
 
-_REVERT = _Revert()
-_RETURN = _Return()
-_FAULT = _Fault()
-
-
 class TaggedAddress(int):
     """An address value carrying the provenance of its occurrence (client
     slot, role index, or literal). Behaves as a plain int everywhere; the
@@ -248,7 +243,7 @@ class _Frame:
         if self.uses is not None:
             self.uses.append((int(a), getattr(a, "origins", ())))
         if a not in self.slot_of:
-            raise _FAULT
+            raise _Fault
         return a
 
 
@@ -316,28 +311,28 @@ def _compile_bin(e: ir.RBin):
         def add(f):
             v = left(f) + right(f)
             if v >= f.limit:
-                raise _REVERT  # arithmetic outside the domain reverts
+                raise _Revert  # arithmetic outside the domain reverts
             return v
         return add
     if op == "-":
         def sub(f):
             v = left(f) - right(f)
             if v < 0:
-                raise _REVERT
+                raise _Revert
             return v
         return sub
     if op == "*":
         def mul(f):
             v = left(f) * right(f)
             if v >= f.limit:
-                raise _REVERT
+                raise _Revert
             return v
         return mul
     if op == "/":
         def div(f):
             r = right(f)
             if r == 0:
-                raise _REVERT  # on-chain style: division by zero reverts
+                raise _Revert  # on-chain style: division by zero reverts
             return left(f) // r
         return div
     raise TypeError(f"unknown operator {op}")
@@ -370,17 +365,17 @@ def _compile_stmt(s):
         cond = _compile_expr(s.cond)
         def st(f):
             if cond(f) == 0:
-                raise _REVERT
+                raise _Revert
         return st
     if isinstance(s, ir.SAssert):
         cond = _compile_expr(s.cond)
         def st(f):
             if cond(f) == 0:
-                raise _FAULT
+                raise _Fault
         return st
     if isinstance(s, ir.SReturn):
         def st(f):
-            raise _RETURN
+            raise _Return
         return st
     if isinstance(s, ir.SIf):
         cond = _compile_expr(s.cond)
@@ -501,18 +496,18 @@ def _run_transaction(cb: _CompiledBundle, roles: list[int], data: list[int],
     # is a fault.
     sender = f.use_address(clients[0])
     if sender == f.use_address(zero):
-        raise _REVERT
+        raise _Revert
     for acct in accounts:
         if sender == f.use_address(acct):
-            raise _REVERT
+            raise _Revert
     fn_key = (0, action.tx)
     if action.tx == "constructor":
         if ctor_done:
-            raise _REVERT  # the constructor runs once and only once
+            raise _Revert  # the constructor runs once and only once
         cb.functions[fn_key].invoke(f, clients, action.args)
         return 1
     if not ctor_done:
-        raise _REVERT  # nothing is callable before construction
+        raise _Revert  # nothing is callable before construction
     cb.functions[fn_key].invoke(f, clients, action.args)
     return ctor_done
 

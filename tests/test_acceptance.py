@@ -88,7 +88,7 @@ def test_criterion_3_compositionality_rule(env):
                               W3, budget_states=10 ** 6, budget_secs=60.0)
     ok = good.is_safe and bad.result == "cex_invariant" and len(bad.trace) <= 3
     if bad.trace is not None:
-        env["traces"].append((env["bad"].invariant, bad.trace))
+        env["traces"].append((env["bad"].invariant, bad.trace, W3))
     _report(3, "zero-bid invariant verified; false invariant refuted in <= 3 actions",
             ok, time.monotonic() - t0, 60.0)
 
@@ -122,7 +122,7 @@ def test_criterion_4_safety_rule(env):
         pre = v3.trace.states[-2]
         withdrawn = next(u.map_vals[0] for u in pre.users if u.id == sender)
         shape = withdrawn < v3.trace.actions[-2].args[0]
-        env["traces"].append((env["weak"].invariant, v3.trace))
+        env["traces"].append((env["weak"].invariant, v3.trace, W3))
     checks_ok.append(shape)
 
     _report(4, "zero-bid and headroom invariants prove their properties; the "
@@ -195,14 +195,14 @@ def test_criterion_8_trace_replay(env):
     # Add counterexamples from checks not exercised above.
     vtheta = check_compositional(env["bundle"], env["ptg"], env["p2"].invariant, W2)
     if vtheta.trace is not None:
-        traces.append((env["p2"].invariant, vtheta.trace))
+        traces.append((env["p2"].invariant, vtheta.trace, W2))
     false_prop = parse_spec("(property (k 0) (xi (= (data 0) 0)))",
                             env["bundle"].layout).properties[0]
     voracle = global_oracle(env["bundle"], 4, false_prop, W2)
     ok = voracle.result == "cex_property"
     replayed = 0
-    for theta, trace in traces:
-        replay_trace(env["bundle"], trace, W3, theta=theta)
+    for theta, trace, domain in traces:  # each under the domain that found it
+        replay_trace(env["bundle"], trace, domain, theta=theta)
         replayed += 1
     if voracle.trace is not None:
         replay_trace(env["bundle"], voracle.trace, W2)

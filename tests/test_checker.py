@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from msolv.checker import (check_compositional, check_safety, global_oracle,
@@ -170,22 +168,13 @@ def test_budget_exhaustion(auction, auction_ptg, auction_spec):
     assert "budget" in v.reason
 
 
-def test_worker_count_does_not_change_verdicts(auction, auction_ptg, p2_weak_spec):
-    old = os.environ.get("MSOLV_THREADS")
-    try:
-        results = []
-        for n in ("1", "3"):
-            os.environ["MSOLV_THREADS"] = n
-            v = check_safety(auction, auction_ptg, p2_weak_spec.invariant,
-                             p2_weak_spec.properties[0], D2,
-                             require_interference_invariant=False)
-            results.append((v.result, v.trace.states, v.trace.actions, v.invariant))
-        assert results[0] == results[1]
-    finally:
-        if old is None:
-            os.environ.pop("MSOLV_THREADS", None)
-        else:
-            os.environ["MSOLV_THREADS"] = old
+def test_state_budget_is_checked_per_class(auction, auction_ptg, auction_spec):
+    # A whole BFS level can hold many classes; the budget must stop the
+    # search inside the level, within one class expansion.
+    v = check_compositional(auction, auction_ptg, auction_spec.invariant,
+                            DataDomain(3), budget_states=60)
+    assert v.result == "exhausted"
+    assert v.stats.states <= 2 * 60
 
 
 def test_verdict_json_schema(auction, auction_ptg, auction_spec, bad_spec):

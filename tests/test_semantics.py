@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -95,6 +96,21 @@ def test_constructor_runs_once(auction, w8):
     s1 = step(auction, s, ctor(3, 2), w8)
     assert s1.control.ctor_done == 1
     assert step(auction, s1, ctor(3, 3), w8) == s1  # and only once
+
+
+def test_reverting_steps_keep_no_objects_alive(auction, w8):
+    # A revert must not chain its traceback onto a shared exception
+    # instance, or every frame of every reverted transaction stays alive.
+    s = init_state(auction, range(4))
+    early_bid = bid(3, 1)  # reverts: nothing is callable before construction
+    assert step(auction, s, early_bid, w8) == s
+    gc.collect()
+    before = len(gc.get_objects())
+    for _ in range(2000):
+        step(auction, s, early_bid, w8)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert grown < 100, grown
 
 
 def test_step_determinism_and_address_preservation(auction, w8):

@@ -3,16 +3,21 @@
 For a pool of candidate interference invariants over the auction: whenever
 the gated safety rule certifies a property, the exhaustive oracle at small
 network sizes must agree; every counterexample trace must replay. This
-pins the safety rule's universal claim at desk scale.
+pins the safety rule's universal claim at desk scale. The class engine is
+also checked against a literal search of the local-bundle relation.
 """
 
 import pytest
 
+import msolv
 from msolv.checker import (check_compositional, check_safety, global_oracle,
                            replay_trace)
 from msolv.errors import PreconditionUnmet
-from msolv.properties import parse_spec
-from msolv.semantics import DataDomain
+from msolv.localization import (extend_neighbourhood, local_step,
+                                saturating_neighbourhood)
+from msolv.properties import check_universal, eval_split, parse_spec
+from msolv.ptg import build_ptg, taint_summary
+from msolv.semantics import DataDomain, enumerate_actions, init_state
 
 D1 = DataDomain(1)
 
@@ -41,7 +46,6 @@ PROPERTY_POOL = [
 
 @pytest.mark.parametrize("inv_src", INVARIANT_POOL)
 def test_compositional_counterexamples_replay(auction_plain, inv_src):
-    from msolv.ptg import build_ptg, taint_summary
     g = build_ptg(taint_summary(auction_plain))
     theta = parse_spec(inv_src, auction_plain.layout).invariant
     v = check_compositional(auction_plain, g, theta, D1)
@@ -53,7 +57,6 @@ def test_compositional_counterexamples_replay(auction_plain, inv_src):
 @pytest.mark.parametrize("inv_src", INVARIANT_POOL)
 @pytest.mark.parametrize("prop_src", PROPERTY_POOL)
 def test_gated_safe_verdicts_agree_with_the_oracle(auction_plain, inv_src, prop_src):
-    from msolv.ptg import build_ptg, taint_summary
     g = build_ptg(taint_summary(auction_plain))
     spec = parse_spec(inv_src + prop_src, auction_plain.layout)
     theta, phi = spec.invariant, spec.properties[0]
@@ -67,3 +70,73 @@ def test_gated_safe_verdicts_agree_with_the_oracle(auction_plain, inv_src, prop_
         for n in (3, 4, 5):
             oracle = global_oracle(auction_plain, n, phi, D1)
             assert oracle.is_safe, (inv_src, prop_src, n, oracle.reason)
+
+
+# ---------------------------------------------------------------- reference
+
+def _reference_search(bundle, ptg, theta, phi, domain):
+    """Breadth-first search over single states of ``local_step``, on the
+    address set the safety rule uses. Frozen (invariant-violating)
+    successors are checked but never expanded; reaching the error state is
+    a property violation. Returns ("safe", reachable non-frozen controls)
+    or ("cex_property", trace length)."""
+    nbhd = saturating_neighbourhood(
+        ptg, theta.role_guard_indices | phi.role_guard_indices,
+        theta.lit_guard_addresses | phi.lit_guard_addresses)
+    ids = extend_neighbourhood(nbhd, "safety", k=phi.k)
+    actions = list(enumerate_actions(bundle, ids, domain))
+    s0 = init_state(bundle, ids)
+    if check_universal(phi, s0, domain) is not True:
+        return "cex_property", 0
+    seen = {s0}
+    controls = {s0.control}
+    frontier = [s0]
+    depth = 0
+    while frontier:
+        depth += 1
+        next_frontier = []
+        for state in frontier:
+            for action in actions:
+                for post in local_step(bundle, ids, theta, state, action, domain):
+                    if post in seen:
+                        continue
+                    seen.add(post)
+                    if post.is_bottom or check_universal(phi, post, domain) is not True:
+                        return "cex_property", depth
+                    if all(eval_split(theta, post.control, u, domain) for u in post.users):
+                        controls.add(post.control)
+                        next_frontier.append(post)
+        frontier = next_frontier
+    return "safe", controls
+
+
+def _assert_engine_matches_reference(bundle, theta, phi, domain):
+    ptg = build_ptg(taint_summary(bundle))
+    v = check_safety(bundle, ptg, theta, phi, domain,
+                     require_interference_invariant=False)
+    result, detail = _reference_search(bundle, ptg, theta, phi, domain)
+    assert v.result == result
+    if v.is_safe:
+        assert set(v.invariant) == detail
+    else:
+        assert len(v.trace) == detail
+
+
+@pytest.mark.parametrize("inv_src", INVARIANT_POOL)
+@pytest.mark.parametrize("prop_src", [p for p in PROPERTY_POOL if "(guard-" in p])
+def test_engine_agrees_with_reference_search(auction_plain, inv_src, prop_src):
+    spec = parse_spec(inv_src + prop_src, auction_plain.layout)
+    _assert_engine_matches_reference(auction_plain, spec.invariant,
+                                     spec.properties[0], D1)
+
+
+def test_engine_admits_values_wider_than_the_domain():
+    # The literal 3 does not fit in one bit, yet the invariant admits it, so
+    # the post-state is havocked rather than frozen, and its control counts
+    # as reachable.
+    bundle = msolv.load("contract C { mapping(address => uint) m; bool done; "
+                        "constructor() public {} "
+                        "function f() public { m[msg.sender] = 3; done = true; } }")
+    spec = parse_spec("(invariant (else (<= (map 0 0) 3)))"
+                      "(property (k 1) (xi (<= (map 0 0) 3)))", bundle.layout)
+    _assert_engine_matches_reference(bundle, spec.invariant, spec.properties[0], D1)
