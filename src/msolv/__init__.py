@@ -22,7 +22,7 @@ from .ptg import (PtGraph, SemanticPT, TaintSummary, build_ptg,
 from .semantics import (BOTTOM, Action, BundleState, ControlState, DataDomain,
                         UserRecord, enumerate_actions, init_state, step,
                         swap_addresses)
-from .validator import ContractBundle, VariableLayout, layout_counts, validate
+from .validator import ContractBundle, VariableLayout, validate
 
 __version__ = "0.1.0"
 

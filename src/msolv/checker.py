@@ -26,7 +26,8 @@ from .properties import (GuardedProperty, SplitInvariant, check_universal,
                          eval_guarded, eval_split)
 from .ptg import PtGraph
 from .semantics import (BOTTOM, Action, BundleState, ControlState, DataDomain,
-                        UserRecord, enumerate_actions, explore, init_state, step)
+                        Leaf, UserRecord, enumerate_actions, explore, init_state,
+                        step)
 from .validator import ContractBundle
 
 DEFAULT_BUDGET_STATES = 10_000_000
@@ -116,13 +117,13 @@ class _Violation:
     key: tuple | None     # violating class (None when it is a bottom leaf)
     parent: tuple | None  # parent class for leaf-level violations
     action_index: int | None
-    assignment: tuple | None
+    leaf: Leaf | None     # the execution path from the parent class
     values: dict | None   # slot -> map vector pinning the violating state
     reason: str = ""
 
 
 class _LocalEngine:
-    """Breadth-first search over product classes ``(control_t, domains)``.
+    """Breadth-first search over product classes ``(control, domains)``.
 
     ``domains`` is None for a class that is exactly the invariant's allowed
     sets at its control; only the initial class and frozen classes carry
@@ -140,47 +141,45 @@ class _LocalEngine:
         self.actions = list(enumerate_actions(bundle, self.ids, domain))
         self.budget_states = budget_states
         self.budget_secs = budget_secs
-        self._allowed: dict[tuple, tuple] = {}
+        self._allowed: dict[ControlState, tuple] = {}
         self.parents: dict[tuple, tuple | None] = {}
         self.transitions = 0
         self.started = time.monotonic()
         zeros = (0,) * self.n_maps
-        control_t = ((0,) * bundle.n_roles, (0,) * bundle.n_data, 0)
-        vectors, allowed = self._allowed_at(control_t)
+        control = ControlState((0,) * bundle.n_roles, (0,) * bundle.n_data, 0)
+        vectors, allowed = self._allowed_at(control)
         init_domains = tuple((zeros,) for _ in self.ids)
-        self.init = (control_t, None if init_domains == vectors else init_domains)
+        self.init = (control, None if init_domains == vectors else init_domains)
         # The first user the initial state puts outside the invariant, if any.
         self._init_bad_slot = next(
             (s for s, ok in enumerate(allowed) if zeros not in ok), None)
 
     # -- class plumbing --------------------------------------------------
 
-    def _allowed_at(self, control_t: tuple) -> tuple:
+    def _allowed_at(self, control: ControlState) -> tuple:
         """Per-slot allowed vectors at a control, and the same as frozensets."""
-        cached = self._allowed.get(control_t)
+        cached = self._allowed.get(control)
         if cached is None:
-            control = ControlState(*control_t)
             vectors = tuple(
                 allowed_vectors(self.theta, control, uid, self.domain, self.n_maps)
                 for uid in self.ids)
             cached = (vectors, tuple(frozenset(v) for v in vectors))
-            self._allowed[control_t] = cached
+            self._allowed[control] = cached
         return cached
 
     def _domains(self, key: tuple) -> tuple:
-        control_t, domains = key
-        return self._allowed_at(control_t)[0] if domains is None else domains
+        control, domains = key
+        return self._allowed_at(control)[0] if domains is None else domains
 
     def _is_frozen(self, key: tuple) -> bool:
         return key[1] is not None and key != self.init
 
-    def _wide_ok(self, control_t: tuple, slot: int, vec: tuple) -> bool:
+    def _wide_ok(self, control: ControlState, slot: int, vec: tuple) -> bool:
         """The invariant on a vector outside the data domain. The allowed
         sets hold every admitted in-domain vector, so only a literal wider
         than the domain, written to a map cell, needs evaluating."""
         return max(vec, default=0) >= self.domain.limit and eval_split(
-            self.theta, ControlState(*control_t), UserRecord(self.ids[slot], vec),
-            self.domain)
+            self.theta, control, UserRecord(self.ids[slot], vec), self.domain)
 
     # -- expansion ---------------------------------------------------------
 
@@ -188,12 +187,11 @@ class _LocalEngine:
         """All successor records of one class, in deterministic order.
 
         Record shapes:
-          ("succ", ai, assignment, succ_key)
-          ("theta", ai, assignment, frozen_key, bad_values)
-          ("bottom", ai, assignment)
+          ("succ", ai, leaf, succ_key)
+          ("theta", ai, leaf, frozen_key, bad_values)
+          ("bottom", ai, leaf)
         """
-        control_t = key[0]
-        control = ControlState(*control_t)
+        control = key[0]
         domains = self._domains(key)
         dom_map = dict(enumerate(domains))
         # Members of an interference class satisfy the invariant at their own
@@ -207,24 +205,20 @@ class _LocalEngine:
             n_paths += len(leaves)
             for leaf in leaves:
                 if leaf.outcome == "bottom":
-                    records.append(("bottom", ai, leaf.assignment))
+                    records.append(("bottom", ai, leaf))
                     continue
                 if leaf.outcome == "revert" and pre_theta_ok:
                     # The unchanged state is closed under the invariant, so
                     # interference applies directly.
-                    succ = (control_t, None)
+                    succ = (control, None)
                     if succ != key:
-                        records.append(("succ", ai, leaf.assignment, succ))
+                        records.append(("succ", ai, leaf, succ))
                     continue
-                if leaf.outcome == "revert":
-                    post_control_t = control_t
-                    writes: dict[int, dict[int, int]] = {}
-                else:
-                    post_control_t = leaf.control_after
-                    writes = {}
-                    for s, c, v in leaf.write_cells:
-                        writes.setdefault(s, {})[c] = v
-                allowed = self._allowed_at(post_control_t)[1]
+                post_control = leaf.control_after
+                writes: dict[int, dict[int, int]] = {}
+                for s, c, v in leaf.write_cells:
+                    writes.setdefault(s, {})[c] = v
+                allowed = self._allowed_at(post_control)[1]
                 assign = dict(leaf.assignment)
                 post_domains = []
                 all_ok = True
@@ -241,16 +235,16 @@ class _LocalEngine:
                     post_domains.append(post)
                     ok_any = False
                     for v in post:
-                        if v in allowed[slot] or self._wide_ok(post_control_t, slot, v):
+                        if v in allowed[slot] or self._wide_ok(post_control, slot, v):
                             ok_any = True
                         elif slot not in bad_values:
                             bad_values[slot] = v
                     all_ok = all_ok and ok_any
                 if bad_values:
-                    frozen_key = (post_control_t, tuple(post_domains))
-                    records.append(("theta", ai, leaf.assignment, frozen_key, bad_values))
+                    frozen_key = (post_control, tuple(post_domains))
+                    records.append(("theta", ai, leaf, frozen_key, bad_values))
                 if all_ok:
-                    records.append(("succ", ai, leaf.assignment, (post_control_t, None)))
+                    records.append(("succ", ai, leaf, (post_control, None)))
         return records, n_paths
 
     # -- property evaluation over a class ---------------------------------
@@ -258,7 +252,7 @@ class _LocalEngine:
     def _phi_witness(self, phi: GuardedProperty, key: tuple):
         """None if the property holds everywhere in the class; otherwise a
         (slot values, reason) pair pinning the first violating member."""
-        control = ControlState(*key[0])
+        control = key[0]
         domains = self._domains(key)
         n = len(self.ids)
         for combo in itertools.permutations(range(n), phi.k):
@@ -302,39 +296,39 @@ class _LocalEngine:
                 for ri, rec in enumerate(records):
                     tag = rec[0]
                     if tag == "bottom":
-                        _, ai, assignment = rec
+                        _, ai, leaf = rec
                         violations.append(_Violation(
-                            (order, ai, ri), "bottom", None, key, ai, assignment,
+                            (order, ai, ri), "bottom", None, key, ai, leaf,
                             None, "error state reachable"))
                         continue
                     if tag == "theta":
-                        _, ai, assignment, frozen_key, bad = rec
+                        _, ai, leaf, frozen_key, bad = rec
                         if mode == "compositional":
                             violations.append(_Violation(
                                 (order, ai, ri), "theta", frozen_key, key, ai,
-                                assignment, bad,
+                                leaf, bad,
                                 "invariant not preserved"))
                         else:
                             # Frozen states are reachable; the property must
                             # hold on them, but they are never expanded.
                             if frozen_key not in self.parents:
-                                self.parents[frozen_key] = (key, ai, assignment)
+                                self.parents[frozen_key] = (key, ai, leaf)
                                 w = self._phi_witness(phi, frozen_key)
                                 if w is not None:
                                     violations.append(_Violation(
                                         (order, ai, ri), "phi", frozen_key, key,
-                                        ai, assignment, w[0], w[1]))
+                                        ai, leaf, w[0], w[1]))
                         continue
-                    _, ai, assignment, succ = rec
+                    _, ai, leaf, succ = rec
                     if succ not in self.parents:
-                        self.parents[succ] = (key, ai, assignment)
+                        self.parents[succ] = (key, ai, leaf)
                         next_frontier.append(succ)
                         if mode == "safety":
                             w = self._phi_witness(phi, succ)
                             if w is not None:
                                 violations.append(_Violation(
                                     (order, ai, ri), "phi", succ, key, ai,
-                                    assignment, w[0], w[1]))
+                                    leaf, w[0], w[1]))
             if violations:
                 vio = min(violations, key=lambda v: v.order)
                 result = "cex_invariant" if vio.kind == "theta" else "cex_property"
@@ -344,8 +338,7 @@ class _LocalEngine:
             frontier = next_frontier
 
         invariant = tuple(sorted(
-            {ControlState(*k[0]) for k in self.parents if not self._is_frozen(k)},
-            key=lambda c: (c.roles, c.data, c.ctor_done)))
+            {k[0] for k in self.parents if not self._is_frozen(k)}))
         return Verdict("safe", self._stats(), invariant=invariant)
 
     def _stats(self) -> Stats:
@@ -358,14 +351,13 @@ class _LocalEngine:
     # -- counterexample reconstruction --------------------------------------
 
     def _cex(self, result: str, vio: _Violation) -> Verdict:
-        chain: list[tuple] = []  # (pre_key, action_index, assignment)
+        chain: list[tuple] = []  # (pre_key, action_index, leaf)
         if vio.action_index is not None:
-            chain.append((vio.parent, vio.action_index, vio.assignment))
+            chain.append((vio.parent, vio.action_index, vio.leaf))
         key = vio.parent if vio.action_index is not None else vio.key
         while self.parents.get(key) is not None:
-            pre_key, ai, assignment = self.parents[key]
-            chain.append((pre_key, ai, assignment))
-            key = pre_key
+            chain.append(self.parents[key])
+            key = chain[-1][0]
         chain.reverse()
 
         if vio.kind == "bottom":
@@ -385,14 +377,12 @@ class _LocalEngine:
         needs: list[dict[int, tuple]] = [None] * (len(chain) + 1)
         needs[-1] = final_need
         for t in range(len(chain) - 1, -1, -1):
-            pre_key, ai, assignment = chain[t]
+            pre_key, _, leaf = chain[t]
             domains = self._domains(pre_key)
-            leaf = self._find_leaf(pre_key, self.actions[ai], assignment)
             writes: dict[int, dict[int, int]] = {}
-            if leaf.outcome == "ok":
-                for s, c, v in leaf.write_cells:
-                    writes.setdefault(s, {})[c] = v
-            assign = dict(assignment)
+            for s, c, v in leaf.write_cells:
+                writes.setdefault(s, {})[c] = v
+            assign = dict(leaf.assignment)
             succ_is_frozen = t == len(chain) - 1 and (
                 vio.kind == "theta" or (vio.kind == "phi" and self._is_frozen(vio.key)))
             pre_vals: dict[int, tuple] = {}
@@ -412,16 +402,14 @@ class _LocalEngine:
             needs[t] = pre_vals
 
         states = []
-        for t, (pre_key, ai, assignment) in enumerate(chain):
-            control = ControlState(*pre_key[0])
+        for t, (pre_key, _, _) in enumerate(chain):
             users = tuple(UserRecord(self.ids[s], needs[t][s])
                           for s in range(len(self.ids)))
-            states.append(BundleState(control, users))
+            states.append(BundleState(pre_key[0], users))
         if vio.kind == "bottom":
             final = BundleState(BOTTOM, states[-1].users)
         else:
-            control = ControlState(*vio.key[0])
-            final = BundleState(control, tuple(
+            final = BundleState(vio.key[0], tuple(
                 UserRecord(self.ids[s], needs[-1][s]) for s in range(len(self.ids))))
         if chain:
             states.append(final)
@@ -429,14 +417,6 @@ class _LocalEngine:
         else:
             trace = Trace((final,), ())
         return Verdict(result, self._stats(), trace=trace, reason=vio.reason)
-
-    def _find_leaf(self, key: tuple, action: Action, assignment: tuple):
-        leaves = explore(self.bundle, ControlState(*key[0]), self.ids,
-                         dict(enumerate(self._domains(key))), action, self.domain)
-        for leaf in leaves:
-            if leaf.assignment == assignment:
-                return leaf
-        raise AssertionError("recorded execution path not found on replay")
 
     @staticmethod
     def _invert_write(domain_vals: tuple, target: tuple, writes: dict[int, int]) -> tuple:
@@ -446,11 +426,11 @@ class _LocalEngine:
         raise AssertionError("frozen-state value has no pre-image")
 
     def _pick_theta_ok(self, domain_vals: tuple, writes: dict[int, int],
-                       post_control_t: tuple, slot: int) -> tuple:
-        allowed = self._allowed_at(post_control_t)[1][slot]
+                       post_control: ControlState, slot: int) -> tuple:
+        allowed = self._allowed_at(post_control)[1][slot]
         for v in domain_vals:
             post = _apply_writes(v, writes)
-            if post in allowed or self._wide_ok(post_control_t, slot, post):
+            if post in allowed or self._wide_ok(post_control, slot, post):
                 return v
         raise AssertionError("recorded interference successor has no witness")
 
@@ -547,7 +527,7 @@ def global_oracle(bundle: ContractBundle, n: int, phi: GuardedProperty,
             for act in actions:
                 post = step(bundle, st, act, domain)
                 transitions += 1
-                if post == st or post in parents:
+                if post in parents:
                     continue
                 parents[post] = (st, act)
                 if post.is_bottom:
@@ -559,8 +539,7 @@ def global_oracle(bundle: ContractBundle, n: int, phi: GuardedProperty,
                                    reason=f"{phi.name} fails on user slots {list(wit)}")
                 next_frontier.append(post)
         frontier = next_frontier
-    invariant = tuple(sorted({s.control for s in parents if not s.is_bottom},
-                             key=lambda c: (c.roles, c.data, c.ctor_done)))
+    invariant = tuple(sorted({s.control for s in parents if not s.is_bottom}))
     return Verdict("safe", stats(), invariant=invariant)
 
 

@@ -207,6 +207,19 @@ def _cmd_simulate(args) -> int:
     return EXIT_SAFE
 
 
+def _emit_verdicts(results: dict[str, Verdict], fmt: str) -> int:
+    """Print named verdicts and map them to the exit code: 2 if any ran out
+    of budget, else 0 if all are safe, else 1."""
+    payload = {name: verdict_to_json(v) for name, v in results.items()}
+    _emit(payload, fmt,
+          lambda p: "\n".join(_render_verdict_text(n, v) for n, v in results.items()))
+    if any(v.result == "exhausted" for v in results.values()):
+        return EXIT_ERROR
+    if all(v.is_safe for v in results.values()):
+        return EXIT_SAFE
+    return EXIT_CEX
+
+
 def _cmd_check(args) -> int:
     bundle = _load_bundle(args.contract)
     domain = DataDomain(args.width)
@@ -224,14 +237,7 @@ def _cmd_check(args) -> int:
             results[prop.name] = check_safety(
                 bundle, graph, spec.invariant, prop, domain,
                 require_interference_invariant=False, **budgets)
-    payload = {name: verdict_to_json(v) for name, v in results.items()}
-    _emit(payload, args.format,
-          lambda p: "\n".join(_render_verdict_text(n, v) for n, v in results.items()))
-    if any(v.result == "exhausted" for v in results.values()):
-        return EXIT_ERROR
-    if all(v.is_safe for v in results.values()):
-        return EXIT_SAFE
-    return EXIT_CEX
+    return _emit_verdicts(results, args.format)
 
 
 def _cmd_oracle(args) -> int:
@@ -246,14 +252,7 @@ def _cmd_oracle(args) -> int:
         results[prop.name] = global_oracle(bundle, args.users, prop, domain,
                                            budget_states=args.budget_states,
                                            budget_secs=args.budget_secs)
-    payload = {name: verdict_to_json(v) for name, v in results.items()}
-    _emit(payload, args.format,
-          lambda p: "\n".join(_render_verdict_text(n, v) for n, v in results.items()))
-    if any(v.result == "exhausted" for v in results.values()):
-        return EXIT_ERROR
-    if all(v.is_safe for v in results.values()):
-        return EXIT_SAFE
-    return EXIT_CEX
+    return _emit_verdicts(results, args.format)
 
 
 def main(argv: list[str] | None = None) -> int:

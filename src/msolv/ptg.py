@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import ir
 from .errors import BudgetExceeded
 from .semantics import (Action, BundleState, ControlState, DataDomain, Leaf,
-                        UserRecord, collect_uses, explore, step)
+                        UserRecord, explore, step)
 from .validator import ContractBundle, ZERO_ACCOUNT
 
 SC = "sc"
@@ -45,14 +45,6 @@ class PtGraph:
     vertices: frozenset
     edges: frozenset[tuple]
     labels: frozenset[tuple]  # (edge, label)
-
-    def rho(self, action=None):
-        """Every action maps to the contract vertex."""
-        return SC
-
-    def tau(self, address: int):
-        """Literal addresses keep their own vertex; all others fold to *."""
-        return address if address in self.lits else STAR
 
     @property
     def explicit_indices(self) -> frozenset[int]:
@@ -302,21 +294,12 @@ def _controls(bundle: ContractBundle, n: int, domain: DataDomain):
                 yield ControlState(roles, data, ctor)
 
 
-def _effective_control(leaf: Leaf, pre: ControlState):
-    if leaf.outcome == "ok":
-        return leaf.control_after
-    if leaf.outcome == "revert":
-        return (pre.roles, pre.data, pre.ctor_done)
-    return "bottom"
-
-
-def _leaf_post_differs(a: Leaf, b: Leaf, skip_slot: int, pre: ControlState,
-                       merged: dict) -> bool:
+def _leaf_post_differs(a: Leaf, b: Leaf, skip_slot: int, merged: dict) -> bool:
     """Whether two execution paths taken from states differing only in user
     ``skip_slot`` give observably different results per the influence
     definition: different post controls, or some other user's post state
     differs for a suitable choice of the map vectors neither path read."""
-    if _effective_control(a, pre) != _effective_control(b, pre):
+    if a.control_after != b.control_after:
         return True
     wa: dict[int, dict[int, int]] = {}
     wb: dict[int, dict[int, int]] = {}
@@ -393,7 +376,7 @@ def semantic_pt(bundle: ContractBundle, n: int, action: Action,
                 if xi is None and yi is None:
                     continue  # neither read it: identical executions
                 merged = {s: v for s, v in {**ax, **ay}.items() if s != slot}
-                if _leaf_post_differs(x, y, slot, control, merged):
+                if _leaf_post_differs(x, y, slot, merged):
                     origins = set(ux.get(ids[slot], ())) | set(uy.get(ids[slot], ()))
                     collector.attribute(ids[slot], origins)
                     break
@@ -415,17 +398,22 @@ def semantic_pt_naive(bundle: ContractBundle, n: int, action: Action,
     def users_of(assign: tuple) -> tuple[UserRecord, ...]:
         return tuple(UserRecord(ids[i], assign[i]) for i in range(n))
 
+    def uses_of(state: BundleState) -> dict[int, tuple]:
+        (leaf,) = explore(bundle, state.control, tuple(u.id for u in state.users),
+                          [(u.map_vals,) for u in state.users], action, domain,
+                          log_uses=True)
+        return dict(leaf.uses)
+
     for control in _controls(bundle, n, domain):
         for assign in itertools.product(vectors, repeat=n):
             base_state = BundleState(control, users_of(assign))
             base_post = step(bundle, base_state, action, domain)
-            base_uses = collect_uses(bundle, base_state, action, domain)
+            base_uses = uses_of(base_state)
 
             def attribute(i: int, extra_state=None) -> None:
                 origins = set(base_uses.get(ids[i], ()))
                 if extra_state is not None:
-                    origins |= collect_uses(bundle, extra_state, action,
-                                            domain).get(ids[i], set())
+                    origins.update(uses_of(extra_state).get(ids[i], ()))
                 collector.attribute(ids[i], origins)
 
             for i in range(n):

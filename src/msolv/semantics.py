@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from . import ir
-from .errors import ResourceExhausted, TooFewUsers
+from .errors import ResourceExhausted, TooFewUsers, UnknownFunction
 from .validator import ContractBundle, ZERO_ACCOUNT
 
 DEFAULT_FUEL = 1 << 16
@@ -67,21 +67,18 @@ class Bottom:
 BOTTOM = Bottom()
 
 
-@dataclass(frozen=True)
-class ControlState:
+class ControlState(NamedTuple):
     roles: tuple[int, ...]
     data: tuple[int, ...]
     ctor_done: int = 0
 
 
-@dataclass(frozen=True)
-class UserRecord:
+class UserRecord(NamedTuple):
     id: int
     map_vals: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BundleState:
+class BundleState(NamedTuple):
     control: Union[ControlState, Bottom]
     users: tuple[UserRecord, ...]
 
@@ -90,8 +87,7 @@ class BundleState:
         return isinstance(self.control, Bottom)
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     tx: str
     clients: tuple[int, ...]
     args: tuple[int, ...]
@@ -185,28 +181,14 @@ class TaggedAddress(int):
         return self
 
 
-class _ConcreteStore:
-    """Per-slot mutable map vectors for an ordinary deterministic step."""
-
-    __slots__ = ("maps",)
-
-    def __init__(self, users: tuple[UserRecord, ...]):
-        self.maps = [list(u.map_vals) for u in users]
-
-    def read(self, slot: int, cell: int) -> int:
-        return self.maps[slot][cell]
-
-    def write(self, slot: int, cell: int, value: int) -> None:
-        self.maps[slot][cell] = value
-
-
-class _ChoiceStore:
-    """Map vectors where unassigned slots fork the exploration on first read."""
+class _Store:
+    """Per-slot map vectors plus the cells a transaction wrote. A slot with
+    no vector yet forks the exploration on its first read."""
 
     __slots__ = ("base", "writes")
 
-    def __init__(self, assignment: dict[int, tuple[int, ...]]):
-        self.base = assignment
+    def __init__(self, base: dict[int, tuple[int, ...]]):
+        self.base = base
         self.writes: dict[tuple[int, int], int] = {}
 
     def read(self, slot: int, cell: int) -> int:
@@ -470,16 +452,23 @@ def _slot_of(ids: tuple[int, ...]) -> dict[int, int]:
     return m
 
 
-def _run_transaction(cb: _CompiledBundle, roles: list[int], data: list[int],
-                     ctor_done: int, slot_of: dict[int, int], store, action: Action,
-                     limit: int, fuel: int, uses) -> int:
-    """Execute one transaction in place. Returns the new ctor flag.
+def _run_transaction(cb: _CompiledBundle, control: ControlState,
+                     slot_of: dict[int, int], store: _Store, action: Action,
+                     limit: int, fuel: int, uses) -> ControlState | str:
+    """Execute one transaction from ``control``, leaving its map writes in
+    ``store``. Returns "revert", "bottom" or the post control state.
 
-    Raises _Revert for no-ops and _Fault for transitions into BOTTOM. When
-    ``uses`` is a list, address occurrences are tagged with their provenance
-    (client slot, role index, or literal) and every use is logged.
+    A read of a slot the store has no vector for raises NeedChoice. When
+    ``uses`` is a list, address occurrences are tagged with their
+    provenance (client slot, role index, or literal) and every use is
+    logged.
     """
-    f = _Frame(roles, data, slot_of, store, limit, fuel, uses, cb.functions)
+    fn = cb.functions.get((0, action.tx))
+    if fn is None:
+        raise UnknownFunction(action.tx)
+    roles = list(control.roles)
+    f = _Frame(roles, list(control.data), slot_of, store, limit, fuel, uses,
+               cb.functions)
     if uses is None:
         clients = action.clients
         zero: int = ZERO_ACCOUNT
@@ -491,25 +480,30 @@ def _run_transaction(cb: _CompiledBundle, roles: list[int], data: list[int],
         accounts = tuple(TaggedAddress(a, (("implicit", a),)) for a in cb.accounts)
         for i, v in enumerate(roles):
             roles[i] = TaggedAddress(v, (("transient", i),))
-    # Implicit guards: transactions from the zero account or a contract
-    # account are no-ops; an unrepresented address (the sender included)
-    # is a fault.
-    sender = f.use_address(clients[0])
-    if sender == f.use_address(zero):
-        raise _Revert
-    for acct in accounts:
-        if sender == f.use_address(acct):
-            raise _Revert
-    fn_key = (0, action.tx)
-    if action.tx == "constructor":
-        if ctor_done:
-            raise _Revert  # the constructor runs once and only once
-        cb.functions[fn_key].invoke(f, clients, action.args)
-        return 1
-    if not ctor_done:
-        raise _Revert  # nothing is callable before construction
-    cb.functions[fn_key].invoke(f, clients, action.args)
-    return ctor_done
+    try:
+        # Implicit guards: transactions from the zero account or a contract
+        # account are no-ops; an unrepresented address (the sender included)
+        # is a fault.
+        sender = f.use_address(clients[0])
+        if sender == f.use_address(zero):
+            return "revert"
+        for acct in accounts:
+            if sender == f.use_address(acct):
+                return "revert"
+        if action.tx == "constructor":
+            if control.ctor_done:
+                return "revert"  # the constructor runs once and only once
+            ctor = 1
+        elif not control.ctor_done:
+            return "revert"  # nothing is callable before construction
+        else:
+            ctor = control.ctor_done
+        fn.invoke(f, clients, action.args)
+    except _Revert:
+        return "revert"
+    except _Fault:
+        return "bottom"
+    return ControlState(tuple(map(int, roles)), tuple(f.data), ctor)
 
 
 def step(bundle: ContractBundle, state: BundleState, action: Action,
@@ -517,23 +511,19 @@ def step(bundle: ContractBundle, state: BundleState, action: Action,
     """Deterministic transition function over full bundle states."""
     if state.is_bottom:
         raise ValueError("cannot step from the error state")
-    bundle.signature(action.tx)  # raises UnknownFunction early
-    cb = _compiled(bundle)
-    control = state.control
-    roles = list(control.roles)
-    data = list(control.data)
-    ids = tuple(u.id for u in state.users)
-    store = _ConcreteStore(state.users)
-    try:
-        ctor = _run_transaction(cb, roles, data, control.ctor_done,
-                                _slot_of(ids), store, action, domain.limit, fuel, None)
-    except _Revert:
+    store = _Store({i: u.map_vals for i, u in enumerate(state.users)})
+    post = _run_transaction(_compiled(bundle), state.control,
+                            _slot_of(tuple(u.id for u in state.users)), store,
+                            action, domain.limit, fuel, None)
+    if post == "revert":
         return state
-    except _Fault:
+    if post == "bottom":
         return BundleState(BOTTOM, state.users)
-    users = tuple(UserRecord(u.id, tuple(store.maps[i]))
-                  for i, u in enumerate(state.users))
-    return BundleState(ControlState(tuple(roles), tuple(data), ctor), users)
+    users = list(state.users)
+    for (slot, cell), v in store.writes.items():
+        u = users[slot]
+        users[slot] = UserRecord(u.id, u.map_vals[:cell] + (v,) + u.map_vals[cell + 1:])
+    return BundleState(post, tuple(users))
 
 
 # --------------------------------------------------------------------------
@@ -554,16 +544,17 @@ class Leaf:
     """One execution path of an action from a control state.
 
     ``assignment`` fixes the map vectors of the user slots the execution
-    read; ``outcome`` is "ok", "revert", or "bottom". For "ok",
-    ``control_after`` is (roles, data, ctor_done) and ``write_cells`` lists
-    the overwritten user cells. ``uses`` pairs every address value whose
-    representation the run required with the provenance of its occurrences
-    (logged only when requested).
+    read; ``outcome`` is "ok", "revert", or "bottom". ``control_after`` is
+    the post control state (the pre control for "revert", None for
+    "bottom") and ``write_cells`` lists the user cells an "ok" path
+    overwrote. ``uses`` pairs every address value whose representation the
+    run required with the provenance of its occurrences (logged only when
+    requested).
     """
 
     assignment: tuple[tuple[int, tuple[int, ...]], ...]
     outcome: str
-    control_after: tuple[tuple[int, ...], tuple[int, ...], int] | None
+    control_after: ControlState | None
     write_cells: tuple[tuple[int, int, int], ...]  # (slot, cell, value)
     uses: tuple = ()
 
@@ -579,49 +570,26 @@ def explore(bundle: ContractBundle, control: ControlState, ids: tuple[int, ...],
     leaves: list[Leaf] = []
 
     def run(assignment: dict[int, tuple[int, ...]]):
-        roles = list(control.roles)
-        data = list(control.data)
-        store = _ChoiceStore(assignment)
+        store = _Store(assignment)
         uses = [] if log_uses else None
         try:
-            ctor = _run_transaction(cb, roles, data, control.ctor_done,
-                                    slot_of, store, action, domain.limit, fuel, uses)
+            post = _run_transaction(cb, control, slot_of, store, action,
+                                    domain.limit, fuel, uses)
         except NeedChoice as nc:
             for v in sorted(domains[nc.slot]):
                 run({**assignment, nc.slot: v})
             return
-        except _Revert:
-            leaves.append(Leaf(tuple(sorted(assignment.items())), "revert",
-                               None, (), _canon_uses(uses)))
-            return
-        except _Fault:
-            leaves.append(Leaf(tuple(sorted(assignment.items())), "bottom",
-                               None, (), _canon_uses(uses)))
-            return
-        writes = tuple(sorted((slot, cell, val)
-                              for (slot, cell), val in store.writes.items()))
-        leaves.append(Leaf(tuple(sorted(assignment.items())), "ok",
-                           (tuple(int(r) for r in roles), tuple(data), ctor),
+        writes = ()
+        if post == "revert":
+            outcome, post = "revert", control
+        elif post == "bottom":
+            outcome, post = "bottom", None
+        else:
+            outcome = "ok"
+            writes = tuple(sorted((slot, cell, val)
+                                  for (slot, cell), val in store.writes.items()))
+        leaves.append(Leaf(tuple(sorted(assignment.items())), outcome, post,
                            writes, _canon_uses(uses)))
 
     run({})
     return leaves
-
-
-def collect_uses(bundle: ContractBundle, state: BundleState, action: Action,
-                 domain: DataDomain, fuel: int = DEFAULT_FUEL) -> dict[int, frozenset]:
-    """Address values a concrete run of ``action`` uses, with the provenance
-    of their occurrences; covers the prefix up to a revert or fault."""
-    cb = _compiled(bundle)
-    control = state.control
-    roles = list(control.roles)
-    data = list(control.data)
-    ids = tuple(u.id for u in state.users)
-    store = _ConcreteStore(state.users)
-    uses: list = []
-    try:
-        _run_transaction(cb, roles, data, control.ctor_done, _slot_of(ids),
-                         store, action, domain.limit, fuel, uses)
-    except (_Revert, _Fault):
-        pass
-    return {v: frozenset(o) for v, o in _canon_uses(uses)}

@@ -67,12 +67,6 @@ class ContractBundle:
         return len(self.layout.maps)
 
 
-def layout_counts(bundle: ContractBundle, function: str) -> tuple[int, int]:
-    """(client count, argument count) of a root transaction."""
-    sig = bundle.signature(function)
-    return sig.clients, sig.args
-
-
 _NUMERIC = "num"
 _ADDRESS = "addr"
 _MAPPING = "map"

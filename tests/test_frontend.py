@@ -6,7 +6,7 @@ import msolv
 from msolv import ast_nodes as A
 from msolv.errors import MicroSolSyntaxError, UnknownFunction, ValidationError
 from msolv.parser import parse
-from msolv.validator import layout_counts, validate
+from msolv.validator import validate
 
 from conftest import read
 
@@ -56,12 +56,16 @@ def test_multi_dimensional_mapping_rejected():
 
 
 def test_layout_counts(auction):
-    assert layout_counts(auction, "bid") == (1, 1)
-    assert layout_counts(auction, "stop") == (1, 0)
-    assert layout_counts(auction, "withdraw") == (1, 0)
-    assert layout_counts(auction, "constructor") == (2, 0)
+    def counts(name):
+        sig = auction.signature(name)
+        return sig.clients, sig.args
+
+    assert counts("bid") == (1, 1)
+    assert counts("stop") == (1, 0)
+    assert counts("withdraw") == (1, 0)
+    assert counts("constructor") == (2, 0)
     with pytest.raises(UnknownFunction):
-        layout_counts(auction, "nope")
+        counts("nope")
 
 
 @pytest.mark.parametrize("src,rule", [

@@ -74,8 +74,6 @@ def test_build_ptg_matches_auction_figure(auction_ptg):
     assert ((SC, 0), ("implicit", 0)) in labels
     assert ((SC, 1), ("implicit", 1)) in labels
     assert len(labels) == 8
-    assert g.rho(None) == SC
-    assert g.tau(0) == 0 and g.tau(1) == 1 and g.tau(9) == STAR
 
 
 def test_build_ptg_empty_summary():

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msolv
-from msolv.errors import ResourceExhausted, TooFewUsers
-from msolv.semantics import (Action, BundleState, ControlState, DataDomain,
-                             UserRecord, enumerate_actions, init_state, step,
-                             swap_addresses)
+from msolv.errors import ResourceExhausted, TooFewUsers, UnknownFunction
+from msolv.semantics import (BOTTOM, Action, BundleState, ControlState,
+                             DataDomain, UserRecord, enumerate_actions, explore,
+                             init_state, step, swap_addresses)
 
 from conftest import read
 
@@ -256,3 +256,50 @@ def _swap_bundle():
     if _SWAP_BUNDLE is None:
         _SWAP_BUNDLE = msolv.load(read("auction.msol"))
     return _SWAP_BUNDLE
+
+
+# ---------------------------------------------------------------- explore
+
+@pytest.mark.parametrize("ctor_done", [0, 1])
+@pytest.mark.parametrize("sender", [0, 2])
+def test_undeclared_transaction_is_unknown(auction, w8, ctor_done, sender):
+    control = ControlState((3,), (0, 0, 0), ctor_done)
+    state = BundleState(control, tuple(UserRecord(i, (0,)) for i in range(4)))
+    action = Action("nope", (sender,), ())
+    with pytest.raises(UnknownFunction):
+        step(auction, state, action, w8)
+    with pytest.raises(UnknownFunction):
+        explore(auction, control, (0, 1, 2, 3), [((0,),)] * 4, action, w8)
+
+
+def test_explore_over_singleton_domains_agrees_with_step(auction, w2):
+    """One leaf per action, and its outcome, control and writes rebuild the
+    post-state of step. Roles may name an absent user, so bottom occurs."""
+    rng = random.Random(11)
+    n = 4
+    outcomes = set()
+    for _ in range(40):
+        ids = list(range(n))
+        rng.shuffle(ids)
+        control = ControlState((rng.randrange(n + 1),),
+                               tuple(rng.randrange(w2.limit) for _ in range(3)),
+                               rng.randrange(2))
+        state = BundleState(control, tuple(UserRecord(i, (rng.randrange(w2.limit),))
+                                           for i in ids))
+        domains = [(u.map_vals,) for u in state.users]
+        for action in enumerate_actions(auction, ids, w2):
+            post = step(auction, state, action, w2)
+            (leaf,) = explore(auction, control, tuple(ids), domains, action, w2)
+            outcomes.add(leaf.outcome)
+            if leaf.outcome == "revert":
+                assert post is state
+                assert leaf.control_after == control and leaf.write_cells == ()
+            elif leaf.outcome == "bottom":
+                assert post == BundleState(BOTTOM, state.users)
+            else:
+                maps = [list(u.map_vals) for u in state.users]
+                for slot, cell, v in leaf.write_cells:
+                    maps[slot][cell] = v
+                assert post == BundleState(leaf.control_after, tuple(
+                    UserRecord(u.id, tuple(m)) for u, m in zip(state.users, maps)))
+    assert outcomes == {"ok", "revert", "bottom"}
