@@ -20,8 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import PreconditionUnmet
-from .localization import (allowed_vectors, check_guards_in_scope,
-                           extend_neighbourhood, saturating_neighbourhood)
+from .localization import allowed_vectors, rule_neighbourhood
 from .properties import (GuardedProperty, SplitInvariant, check_universal,
                          eval_guarded, eval_split)
 from .ptg import PtGraph
@@ -101,7 +100,7 @@ def verdict_to_json(v: Verdict) -> dict:
 # the local-bundle class engine
 # --------------------------------------------------------------------------
 
-def _apply_writes(vec: tuple[int, ...], writes: dict[int, int]) -> tuple[int, ...]:
+def _apply_writes(vec: tuple[int, ...], writes: dict[int, int] | None) -> tuple[int, ...]:
     if not writes:
         return vec
     out = list(vec)
@@ -110,16 +109,11 @@ def _apply_writes(vec: tuple[int, ...], writes: dict[int, int]) -> tuple[int, ..
     return tuple(out)
 
 
-@dataclass
-class _Violation:
-    order: tuple          # deterministic tie-break key within a level
-    kind: str             # "theta" | "phi" | "bottom"
-    key: tuple | None     # violating class (None when it is a bottom leaf)
-    parent: tuple | None  # parent class for leaf-level violations
-    action_index: int | None
-    leaf: Leaf | None     # the execution path from the parent class
-    values: dict | None   # slot -> map vector pinning the violating state
-    reason: str = ""
+def _writes_by_slot(leaf: Leaf) -> dict[int, dict[int, int]]:
+    writes: dict[int, dict[int, int]] = {}
+    for s, c, v in leaf.write_cells:
+        writes.setdefault(s, {})[c] = v
+    return writes
 
 
 class _LocalEngine:
@@ -127,7 +121,9 @@ class _LocalEngine:
 
     ``domains`` is None for a class that is exactly the invariant's allowed
     sets at its control; only the initial class and frozen classes carry
-    explicit per-slot value tuples.
+    explicit per-slot value tuples. ``parents`` maps every recorded class to
+    the link ``(pre_key, action_index, leaf)`` that first reached it, and the
+    initial class to None.
     """
 
     def __init__(self, bundle: ContractBundle, theta: SplitInvariant,
@@ -137,19 +133,18 @@ class _LocalEngine:
         self.theta = theta
         self.ids = tuple(sorted(addresses))
         self.domain = domain
-        self.n_maps = bundle.n_maps
         self.actions = list(enumerate_actions(bundle, self.ids, domain))
         self.budget_states = budget_states
         self.budget_secs = budget_secs
         self._allowed: dict[ControlState, tuple] = {}
-        self.parents: dict[tuple, tuple | None] = {}
         self.transitions = 0
         self.started = time.monotonic()
-        zeros = (0,) * self.n_maps
+        zeros = (0,) * bundle.n_maps
         control = ControlState((0,) * bundle.n_roles, (0,) * bundle.n_data, 0)
         vectors, allowed = self._allowed_at(control)
         init_domains = tuple((zeros,) for _ in self.ids)
         self.init = (control, None if init_domains == vectors else init_domains)
+        self.parents: dict[tuple, tuple | None] = {self.init: None}
         # The first user the initial state puts outside the invariant, if any.
         self._init_bad_slot = next(
             (s for s, ok in enumerate(allowed) if zeros not in ok), None)
@@ -161,7 +156,7 @@ class _LocalEngine:
         cached = self._allowed.get(control)
         if cached is None:
             vectors = tuple(
-                allowed_vectors(self.theta, control, uid, self.domain, self.n_maps)
+                allowed_vectors(self.theta, control, uid, self.domain, self.bundle.n_maps)
                 for uid in self.ids)
             cached = (vectors, tuple(frozenset(v) for v in vectors))
             self._allowed[control] = cached
@@ -174,78 +169,68 @@ class _LocalEngine:
     def _is_frozen(self, key: tuple) -> bool:
         return key[1] is not None and key != self.init
 
-    def _wide_ok(self, control: ControlState, slot: int, vec: tuple) -> bool:
-        """The invariant on a vector outside the data domain. The allowed
-        sets hold every admitted in-domain vector, so only a literal wider
-        than the domain, written to a map cell, needs evaluating."""
-        return max(vec, default=0) >= self.domain.limit and eval_split(
-            self.theta, control, UserRecord(self.ids[slot], vec), self.domain)
+    def _admits(self, control: ControlState, slot: int, vec: tuple) -> bool:
+        """The invariant on one user's vector. The allowed sets hold every
+        admitted in-domain vector, so only a literal wider than the domain,
+        written to a map cell, needs evaluating."""
+        return vec in self._allowed_at(control)[1][slot] or (
+            max(vec, default=0) >= self.domain.limit and eval_split(
+                self.theta, control, UserRecord(self.ids[slot], vec), self.domain))
+
+    def _users(self, vectors) -> tuple[UserRecord, ...]:
+        return tuple(UserRecord(uid, v) for uid, v in zip(self.ids, vectors))
 
     # -- expansion ---------------------------------------------------------
 
-    def _expand(self, key: tuple) -> list:
-        """All successor records of one class, in deterministic order.
-
-        Record shapes:
-          ("succ", ai, leaf, succ_key)
-          ("theta", ai, leaf, frozen_key, bad_values)
-          ("bottom", ai, leaf)
-        """
+    def _successors(self, key: tuple):
+        """Every successor of one class, in a fixed order, as
+        ``(kind, action_index, leaf, succ_key, bad_values)``. Kind "bottom"
+        has no successor class; "theta" is a frozen class, with the first
+        vector the invariant rejects in each slot that has one; "succ" is an
+        interference class. One leaf can give a "theta" and then a "succ".
+        Makes one ``explore`` call per action."""
         control = key[0]
         domains = self._domains(key)
-        dom_map = dict(enumerate(domains))
         # Members of an interference class satisfy the invariant at their own
         # control by construction; only the concrete initial class can break
         # that, in which case reverted transitions must freeze too.
-        pre_theta_ok = key != self.init or self._init_bad_slot is None
-        records: list = []
-        n_paths = 0
+        pre_ok = key != self.init or self._init_bad_slot is None
         for ai, action in enumerate(self.actions):
-            leaves = explore(self.bundle, control, self.ids, dom_map, action, self.domain)
-            n_paths += len(leaves)
+            leaves = explore(self.bundle, control, self.ids, domains, action, self.domain)
+            self.transitions += len(leaves)
             for leaf in leaves:
                 if leaf.outcome == "bottom":
-                    records.append(("bottom", ai, leaf))
-                    continue
-                if leaf.outcome == "revert" and pre_theta_ok:
-                    # The unchanged state is closed under the invariant, so
-                    # interference applies directly.
-                    succ = (control, None)
-                    if succ != key:
-                        records.append(("succ", ai, leaf, succ))
+                    yield "bottom", ai, leaf, None, None
                     continue
                 post_control = leaf.control_after
-                writes: dict[int, dict[int, int]] = {}
-                for s, c, v in leaf.write_cells:
-                    writes.setdefault(s, {})[c] = v
-                allowed = self._allowed_at(post_control)[1]
+                if leaf.outcome == "revert" and pre_ok:
+                    yield "succ", ai, leaf, (post_control, None), None
+                    continue
+                writes = _writes_by_slot(leaf)
                 assign = dict(leaf.assignment)
+                allowed = self._allowed_at(post_control)[1]
                 post_domains = []
+                bad: dict[int, tuple] = {}
                 all_ok = True
-                bad_values: dict[int, tuple] = {}
-                for slot in range(len(self.ids)):
-                    base = assign.get(slot)
-                    w = writes.get(slot, {})
-                    if base is not None:
-                        post = ( _apply_writes(base, w), )
+                for slot, dom in enumerate(domains):
+                    w = writes.get(slot)
+                    if slot in assign:
+                        post = (_apply_writes(assign[slot], w),)
                     elif w:
-                        post = tuple(sorted({_apply_writes(v, w) for v in domains[slot]}))
+                        post = tuple(sorted({_apply_writes(v, w) for v in dom}))
                     else:
-                        post = domains[slot]
+                        post = dom
                     post_domains.append(post)
-                    ok_any = False
-                    for v in post:
-                        if v in allowed[slot] or self._wide_ok(post_control, slot, v):
-                            ok_any = True
-                        elif slot not in bad_values:
-                            bad_values[slot] = v
-                    all_ok = all_ok and ok_any
-                if bad_values:
-                    frozen_key = (post_control, tuple(post_domains))
-                    records.append(("theta", ai, leaf, frozen_key, bad_values))
+                    # The set lookup first: it settles almost every vector.
+                    rejected = [v for v in post if v not in allowed[slot]
+                                and not self._admits(post_control, slot, v)]
+                    if rejected:
+                        bad[slot] = rejected[0]
+                    all_ok = all_ok and len(rejected) < len(post)
+                if bad:
+                    yield "theta", ai, leaf, (post_control, tuple(post_domains)), bad
                 if all_ok:
-                    records.append(("succ", ai, leaf, (post_control, None)))
-        return records, n_paths
+                    yield "succ", ai, leaf, (post_control, None), None
 
     # -- property evaluation over a class ---------------------------------
 
@@ -254,87 +239,60 @@ class _LocalEngine:
         (slot values, reason) pair pinning the first violating member."""
         control = key[0]
         domains = self._domains(key)
-        n = len(self.ids)
-        for combo in itertools.permutations(range(n), phi.k):
-            free = [domains[s] for s in combo]
-            for choice in itertools.product(*free):
+        for combo in itertools.permutations(range(len(self.ids)), phi.k):
+            for choice in itertools.product(*(domains[s] for s in combo)):
                 users = tuple(UserRecord(self.ids[s], v)
                               for s, v in zip(combo, choice))
                 if not eval_guarded(phi, control, users, self.domain):
-                    values = {s: v for s, v in zip(combo, choice)}
-                    return values, f"{phi.name} fails on user slots {list(combo)}"
+                    return dict(zip(combo, choice)), f"{phi.name} fails on user slots {list(combo)}"
         return None
 
     # -- breadth-first search ----------------------------------------------
 
-    def run(self, mode: str, phi: GuardedProperty | None = None) -> Verdict:
+    def run(self, phi: GuardedProperty | None = None) -> Verdict:
+        """The compositionality rule without ``phi``, the safety rule with
+        it. Each level is expanded in full before its first violation is
+        reported, so ``stats`` do not depend on where in the level it is."""
         init = self.init
-        self.parents[init] = None
-
         bad = self._init_bad_slot
-        if mode == "compositional" and bad is not None:
-            return self._cex("cex_invariant", _Violation(
-                (0,), "theta", init, None, None, None, {bad: (0,) * self.n_maps},
-                f"initial state violates the invariant for user {self.ids[bad]}"))
-        if mode == "safety":
+        if phi is None and bad is not None:
+            return self._cex("cex_invariant", None, init, {},
+                             f"initial state violates the invariant for user {self.ids[bad]}")
+        if phi is not None:
             w = self._phi_witness(phi, init)
             if w is not None:
-                return self._cex("cex_property", _Violation(
-                    (0,), "phi", init, None, None, None, w[0], w[1]))
+                return self._cex("cex_property", None, init, *w)
 
         frontier = [init]
         while frontier:
-            violations: list[_Violation] = []
+            first = None  # the level's first violation, as _cex arguments
             next_frontier: list[tuple] = []
-            for order, key in enumerate(frontier):
+            for key in frontier:
                 if len(self.parents) > self.budget_states:
                     return self._exhausted("state budget exceeded")
                 if time.monotonic() - self.started > self.budget_secs:
                     return self._exhausted("time budget exceeded")
-                records, n_paths = self._expand(key)
-                self.transitions += n_paths
-                for ri, rec in enumerate(records):
-                    tag = rec[0]
-                    if tag == "bottom":
-                        _, ai, leaf = rec
-                        violations.append(_Violation(
-                            (order, ai, ri), "bottom", None, key, ai, leaf,
-                            None, "error state reachable"))
+                for kind, ai, leaf, succ, bad in self._successors(key):
+                    link = (key, ai, leaf)
+                    if kind == "bottom":
+                        vio = ("cex_property", link, None, {}, "error state reachable")
+                    elif kind == "theta" and phi is None:
+                        vio = ("cex_invariant", link, succ, bad, "invariant not preserved")
+                    elif succ in self.parents:
                         continue
-                    if tag == "theta":
-                        _, ai, leaf, frozen_key, bad = rec
-                        if mode == "compositional":
-                            violations.append(_Violation(
-                                (order, ai, ri), "theta", frozen_key, key, ai,
-                                leaf, bad,
-                                "invariant not preserved"))
-                        else:
-                            # Frozen states are reachable; the property must
-                            # hold on them, but they are never expanded.
-                            if frozen_key not in self.parents:
-                                self.parents[frozen_key] = (key, ai, leaf)
-                                w = self._phi_witness(phi, frozen_key)
-                                if w is not None:
-                                    violations.append(_Violation(
-                                        (order, ai, ri), "phi", frozen_key, key,
-                                        ai, leaf, w[0], w[1]))
-                        continue
-                    _, ai, leaf, succ = rec
-                    if succ not in self.parents:
-                        self.parents[succ] = (key, ai, leaf)
-                        next_frontier.append(succ)
-                        if mode == "safety":
-                            w = self._phi_witness(phi, succ)
-                            if w is not None:
-                                violations.append(_Violation(
-                                    (order, ai, ri), "phi", succ, key, ai,
-                                    leaf, w[0], w[1]))
-            if violations:
-                vio = min(violations, key=lambda v: v.order)
-                result = "cex_invariant" if vio.kind == "theta" else "cex_property"
-                if mode == "compositional" and vio.kind == "bottom":
-                    result = "cex_property"
-                return self._cex(result, vio)
+                    else:
+                        # Frozen classes are reachable, so the property must
+                        # hold on them, but they are never expanded.
+                        self.parents[succ] = link
+                        if kind == "succ":
+                            next_frontier.append(succ)
+                        w = None if phi is None else self._phi_witness(phi, succ)
+                        if w is None:
+                            continue
+                        vio = ("cex_property", link, succ, *w)
+                    first = first or vio
+            if first:
+                return self._cex(*first)
             frontier = next_frontier
 
         invariant = tuple(sorted(
@@ -350,89 +308,55 @@ class _LocalEngine:
 
     # -- counterexample reconstruction --------------------------------------
 
-    def _cex(self, result: str, vio: _Violation) -> Verdict:
-        chain: list[tuple] = []  # (pre_key, action_index, leaf)
-        if vio.action_index is not None:
-            chain.append((vio.parent, vio.action_index, vio.leaf))
-        key = vio.parent if vio.action_index is not None else vio.key
-        while self.parents.get(key) is not None:
-            chain.append(self.parents[key])
-            key = chain[-1][0]
+    def _cex(self, result: str, link: tuple | None, key: tuple | None,
+             values: dict[int, tuple], reason: str) -> Verdict:
+        """A concrete trace to a violation. ``link`` is the last step (None
+        when the initial class violates), ``key`` the class it reaches (None
+        for the error state) and ``values`` the violating users' vectors;
+        every other user takes the first vector of its domain."""
+        chain: list[tuple] = []
+        while link is not None:
+            chain.append(link)
+            link = self.parents[link[0]]
         chain.reverse()
-
-        if vio.kind == "bottom":
-            final_need: dict[int, tuple] | None = None
-        else:
-            fdomains = self._domains(vio.key)
-            final_need = {}
-            for s in range(len(self.ids)):
-                if vio.values is not None and s in vio.values:
-                    final_need[s] = vio.values[s]
-                else:
-                    final_need[s] = fdomains[s][0]
-
-        # Walk backward choosing concrete map vectors: reads are pinned by
-        # the recorded assignment; unread slots are chosen so the eventual
-        # post-state matches what the following step needs.
-        needs: list[dict[int, tuple]] = [None] * (len(chain) + 1)
-        needs[-1] = final_need
-        for t in range(len(chain) - 1, -1, -1):
-            pre_key, _, leaf = chain[t]
-            domains = self._domains(pre_key)
-            writes: dict[int, dict[int, int]] = {}
-            for s, c, v in leaf.write_cells:
-                writes.setdefault(s, {})[c] = v
-            assign = dict(leaf.assignment)
-            succ_is_frozen = t == len(chain) - 1 and (
-                vio.kind == "theta" or (vio.kind == "phi" and self._is_frozen(vio.key)))
-            pre_vals: dict[int, tuple] = {}
-            for slot in range(len(self.ids)):
-                if slot in assign:
-                    pre_vals[slot] = assign[slot]
-                    continue
-                w = writes.get(slot, {})
-                if succ_is_frozen and needs[t + 1] is not None:
-                    target = needs[t + 1][slot]
-                    pre_vals[slot] = self._invert_write(domains[slot], target, w)
-                elif leaf.outcome == "ok":
-                    pre_vals[slot] = self._pick_theta_ok(domains[slot], w,
-                                                         leaf.control_after, slot)
-                else:
-                    pre_vals[slot] = domains[slot][0]
-            needs[t] = pre_vals
-
+        final = None if key is None else tuple(
+            values.get(s, dom[0]) for s, dom in enumerate(self._domains(key)))
         states = []
-        for t, (pre_key, _, _) in enumerate(chain):
-            users = tuple(UserRecord(self.ids[s], needs[t][s])
-                          for s in range(len(self.ids)))
-            states.append(BundleState(pre_key[0], users))
-        if vio.kind == "bottom":
-            final = BundleState(BOTTOM, states[-1].users)
+        for t, (pre_key, _, leaf) in enumerate(chain):
+            # A frozen class is the raw post-state, so only the link into it
+            # must hit the final vectors exactly.
+            into_frozen = t == len(chain) - 1 and key is not None and self._is_frozen(key)
+            states.append(BundleState(pre_key[0], self._users(
+                self._pre_values(pre_key, leaf, final if into_frozen else None))))
+        if key is None:
+            states.append(BundleState(BOTTOM, states[-1].users))
         else:
-            final = BundleState(vio.key[0], tuple(
-                UserRecord(self.ids[s], needs[-1][s]) for s in range(len(self.ids))))
-        if chain:
-            states.append(final)
-            trace = Trace(tuple(states), tuple(self.actions[ai] for _, ai, _ in chain))
-        else:
-            trace = Trace((final,), ())
-        return Verdict(result, self._stats(), trace=trace, reason=vio.reason)
+            states.append(BundleState(key[0], self._users(final)))
+        trace = Trace(tuple(states), tuple(self.actions[ai] for _, ai, _ in chain))
+        return Verdict(result, self._stats(), trace=trace, reason=reason)
 
-    @staticmethod
-    def _invert_write(domain_vals: tuple, target: tuple, writes: dict[int, int]) -> tuple:
-        for v in domain_vals:
-            if _apply_writes(v, writes) == target:
-                return v
-        raise AssertionError("frozen-state value has no pre-image")
-
-    def _pick_theta_ok(self, domain_vals: tuple, writes: dict[int, int],
-                       post_control: ControlState, slot: int) -> tuple:
-        allowed = self._allowed_at(post_control)[1][slot]
-        for v in domain_vals:
-            post = _apply_writes(v, writes)
-            if post in allowed or self._wide_ok(post_control, slot, post):
-                return v
-        raise AssertionError("recorded interference successor has no witness")
+    def _pre_values(self, pre_key: tuple, leaf: Leaf, target: tuple | None) -> list:
+        """One member of ``pre_key`` that takes ``leaf``. Read slots are the
+        leaf's; every other slot takes the first vector of its domain whose
+        image under the leaf's writes is ``target[slot]`` (given on a link
+        into a frozen class) or else, unless the leaf is an error, one that
+        the invariant admits after the step."""
+        assign = dict(leaf.assignment)
+        writes = _writes_by_slot(leaf)
+        out = []
+        for slot, dom in enumerate(self._domains(pre_key)):
+            w = writes.get(slot)
+            if slot in assign:
+                vec = assign[slot]
+            elif target is not None:
+                vec = next(v for v in dom if _apply_writes(v, w) == target[slot])
+            elif leaf.outcome == "bottom":
+                vec = dom[0]
+            else:
+                vec = next(v for v in dom if self._admits(
+                    leaf.control_after, slot, _apply_writes(v, w)))
+            out.append(vec)
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -445,12 +369,8 @@ def check_compositional(bundle: ContractBundle, ptg: PtGraph, theta: SplitInvari
     """The compositionality proof rule: explore the local bundle over the
     saturating neighbourhood plus one arbitrary user; the invariant is an
     interference invariant iff no reachable state escapes it."""
-    nbhd = saturating_neighbourhood(ptg, theta.role_guard_indices,
-                                    theta.lit_guard_addresses)
-    a_plus = extend_neighbourhood(nbhd, "compositionality")
-    check_guards_in_scope(theta, a_plus)
-    engine = _LocalEngine(bundle, theta, a_plus, domain, budget_states, budget_secs)
-    return engine.run("compositional")
+    _, a_plus = rule_neighbourhood(ptg, theta)
+    return _LocalEngine(bundle, theta, a_plus, domain, budget_states, budget_secs).run()
 
 
 def check_safety(bundle: ContractBundle, ptg: PtGraph, theta: SplitInvariant,
@@ -476,15 +396,8 @@ def check_safety(bundle: ContractBundle, ptg: PtGraph, theta: SplitInvariant,
         if not comp.is_safe:
             raise PreconditionUnmet(
                 f"the invariant is not an interference invariant ({comp.result})")
-    nbhd = saturating_neighbourhood(
-        ptg,
-        theta.role_guard_indices | phi.role_guard_indices,
-        theta.lit_guard_addresses | phi.lit_guard_addresses)
-    a_plus = extend_neighbourhood(nbhd, "safety", k=phi.k)
-    check_guards_in_scope(theta, a_plus)
-    check_guards_in_scope(phi, a_plus)
-    engine = _LocalEngine(bundle, theta, a_plus, domain, budget_states, budget_secs)
-    return engine.run("safety", phi)
+    _, a_plus = rule_neighbourhood(ptg, theta, phi)
+    return _LocalEngine(bundle, theta, a_plus, domain, budget_states, budget_secs).run(phi)
 
 
 def global_oracle(bundle: ContractBundle, n: int, phi: GuardedProperty,

@@ -97,6 +97,26 @@ def check_guards_in_scope(obj: SplitInvariant | GuardedProperty,
             f"literal guard address(es) {missing} are outside the neighbourhood {sorted(addrs)}")
 
 
+def rule_neighbourhood(ptg: PtGraph, theta: SplitInvariant,
+                       phi: GuardedProperty | None = None
+                       ) -> tuple[Neighbourhood, tuple[int, ...]]:
+    """The saturating neighbourhood of one proof rule and its extended
+    address set: the compositionality rule's for ``theta`` alone, the safety
+    rule's for ``theta`` and ``phi``. The neighbourhood is saturated for the
+    guards of both; every literal guard must lie in the extended set."""
+    guarded = (theta,) if phi is None else (theta, phi)
+    nbhd = saturating_neighbourhood(
+        ptg, frozenset().union(*(g.role_guard_indices for g in guarded)),
+        frozenset().union(*(g.lit_guard_addresses for g in guarded)))
+    if phi is None:
+        a_plus = extend_neighbourhood(nbhd, "compositionality")
+    else:
+        a_plus = extend_neighbourhood(nbhd, "safety", k=phi.k)
+    for g in guarded:
+        check_guards_in_scope(g, a_plus)
+    return nbhd, a_plus
+
+
 def allowed_vectors(theta: SplitInvariant, control: ControlState, user_id: int,
                     domain: DataDomain, n_maps: int) -> tuple[tuple[int, ...], ...]:
     """All map vectors the invariant admits for this user at this control
