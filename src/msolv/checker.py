@@ -9,8 +9,8 @@ a transaction actually reads, which keeps the search small while staying
 exact. A class that is neither initial nor frozen is exactly
 ``(control, allowed(control))``, so it is keyed by its control alone.
 Frozen (invariant-violating) successors are reported but never expanded.
-Breadth-first levels, each merged in a fixed order, guarantee minimal and
-deterministic counterexample traces.
+Breadth-first levels, each expanded in full and in a fixed order before its
+first violation is reported, give minimal and deterministic traces.
 """
 
 from __future__ import annotations
@@ -177,9 +177,6 @@ class _LocalEngine:
             max(vec, default=0) >= self.domain.limit and eval_split(
                 self.theta, control, UserRecord(self.ids[slot], vec), self.domain))
 
-    def _users(self, vectors) -> tuple[UserRecord, ...]:
-        return tuple(UserRecord(uid, v) for uid, v in zip(self.ids, vectors))
-
     # -- expansion ---------------------------------------------------------
 
     def _successors(self, key: tuple):
@@ -253,15 +250,13 @@ class _LocalEngine:
         """The compositionality rule without ``phi``, the safety rule with
         it. Each level is expanded in full before its first violation is
         reported, so ``stats`` do not depend on where in the level it is."""
-        init = self.init
-        bad = self._init_bad_slot
+        init, bad = self.init, self._init_bad_slot
         if phi is None and bad is not None:
             return self._cex("cex_invariant", None, init, {},
                              f"initial state violates the invariant for user {self.ids[bad]}")
-        if phi is not None:
-            w = self._phi_witness(phi, init)
-            if w is not None:
-                return self._cex("cex_property", None, init, *w)
+        w = None if phi is None else self._phi_witness(phi, init)
+        if w is not None:
+            return self._cex("cex_property", None, init, *w)
 
         frontier = [init]
         while frontier:
@@ -269,9 +264,9 @@ class _LocalEngine:
             next_frontier: list[tuple] = []
             for key in frontier:
                 if len(self.parents) > self.budget_states:
-                    return self._exhausted("state budget exceeded")
+                    return Verdict("exhausted", self._stats(), reason="state budget exceeded")
                 if time.monotonic() - self.started > self.budget_secs:
-                    return self._exhausted("time budget exceeded")
+                    return Verdict("exhausted", self._stats(), reason="time budget exceeded")
                 for kind, ai, leaf, succ, bad in self._successors(key):
                     link = (key, ai, leaf)
                     if kind == "bottom":
@@ -303,9 +298,6 @@ class _LocalEngine:
         return Stats(len(self.parents), self.transitions,
                      round(time.monotonic() - self.started, 3))
 
-    def _exhausted(self, why: str) -> Verdict:
-        return Verdict("exhausted", self._stats(), reason=why)
-
     # -- counterexample reconstruction --------------------------------------
 
     def _cex(self, result: str, link: tuple | None, key: tuple | None,
@@ -326,12 +318,12 @@ class _LocalEngine:
             # A frozen class is the raw post-state, so only the link into it
             # must hit the final vectors exactly.
             into_frozen = t == len(chain) - 1 and key is not None and self._is_frozen(key)
-            states.append(BundleState(pre_key[0], self._users(
-                self._pre_values(pre_key, leaf, final if into_frozen else None))))
+            pre = self._pre_values(pre_key, leaf, final if into_frozen else None)
+            states.append(BundleState(pre_key[0], tuple(map(UserRecord, self.ids, pre))))
         if key is None:
             states.append(BundleState(BOTTOM, states[-1].users))
         else:
-            states.append(BundleState(key[0], self._users(final)))
+            states.append(BundleState(key[0], tuple(map(UserRecord, self.ids, final))))
         trace = Trace(tuple(states), tuple(self.actions[ai] for _, ai, _ in chain))
         return Verdict(result, self._stats(), trace=trace, reason=reason)
 
@@ -416,14 +408,12 @@ def global_oracle(bundle: ContractBundle, n: int, phi: GuardedProperty,
         return Stats(len(parents), transitions, round(time.monotonic() - started, 3))
 
     def trace_to(state: BundleState) -> Trace:
-        rev_states, rev_actions = [state], []
-        cur = state
-        while parents[cur] is not None:
-            pre, act = parents[cur]
-            rev_actions.append(act)
-            rev_states.append(pre)
-            cur = pre
-        return Trace(tuple(reversed(rev_states)), tuple(reversed(rev_actions)))
+        states, acts = [state], []
+        while parents[states[-1]] is not None:
+            pre, act = parents[states[-1]]
+            states.append(pre)
+            acts.append(act)
+        return Trace(tuple(reversed(states)), tuple(reversed(acts)))
 
     w = check_universal(phi, s0, domain)
     if w is not True:
@@ -489,9 +479,7 @@ def replay_trace(bundle: ContractBundle, trace: Trace, domain: DataDomain,
             continue
         if post.control != raw.control:
             raise ValueError(f"step {t}: interference changed the control state")
-        ids_raw = tuple(u.id for u in raw.users)
-        ids_post = tuple(u.id for u in post.users)
-        if ids_raw != ids_post:
+        if [u.id for u in raw.users] != [u.id for u in post.users]:
             raise ValueError(f"step {t}: interference changed user ids")
         for u in post.users:
             if not eval_split(theta, post.control, u, domain):

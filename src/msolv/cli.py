@@ -17,8 +17,8 @@ import sys
 from . import ast_nodes
 from .checker import (Verdict, check_compositional, check_safety, global_oracle,
                       verdict_to_json, _action_json, _state_json)
-from .errors import MsolvError
-from .localization import extend_neighbourhood, saturating_neighbourhood
+from .errors import InputError, MsolvError, TooFewUsers
+from .localization import rule_neighbourhood
 from .parser import parse
 from .properties import parse_spec
 from .ptg import build_ptg, taint_summary
@@ -35,33 +35,35 @@ def _build_argparser() -> argparse.ArgumentParser:
         prog="msolv", description="MicroSol parameterized safety checker")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_spec: bool):
+    def command(name: str, handler, help: str, spec: bool = False,
+                width: bool = False, fmt: bool = False):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
         sp.add_argument("contract", help="MicroSol source file (.msol)")
-        if with_spec:
+        if spec:
             sp.add_argument("spec", help="spec file with an invariant and properties")
-        sp.add_argument("--width", type=int, default=8, metavar="W",
-                        help="data domain width in bits (default 8)")
-        sp.add_argument("--format", choices=("json", "text"), default="json")
+        if width:
+            sp.add_argument("--width", type=int, default=8, metavar="W",
+                            help="data domain width in bits, 1 to 64 (default 8)")
+        if fmt:
+            sp.add_argument("--format", choices=("json", "text"), default="json")
+        return sp
 
-    sp = sub.add_parser("parse", help="parse and validate; report the layout")
-    common(sp, with_spec=False)
+    sp = command("parse", _cmd_parse, "parse and validate; report the layout")
     sp.add_argument("--dump-ast", action="store_true", help="print the AST as JSON")
 
-    sp = sub.add_parser("ptg", help="taint summary and participation graph")
-    common(sp, with_spec=False)
+    sp = command("ptg", _cmd_ptg, "taint summary and participation graph")
     sp.add_argument("--dot", action="store_true", help="print the graph as DOT")
 
-    sp = sub.add_parser("neighbourhood", help="representative address sets")
-    common(sp, with_spec=True)
+    command("neighbourhood", _cmd_neighbourhood, "representative address sets", spec=True)
 
-    sp = sub.add_parser("simulate", help="run a JSON trace through the semantics")
-    common(sp, with_spec=False)
+    sp = command("simulate", _cmd_simulate, "run a JSON trace through the semantics", width=True)
     sp.add_argument("--trace", required=True, metavar="FILE",
                     help="JSON list of {tx, clients, args}")
     sp.add_argument("--users", type=int, default=4, metavar="N")
 
-    sp = sub.add_parser("check", help="compositionality then safety proof rules")
-    common(sp, with_spec=True)
+    sp = command("check", _cmd_check, "compositionality then safety proof rules",
+                 spec=True, width=True, fmt=True)
     sp.add_argument("--budget-states", type=int, default=10_000_000, metavar="S")
     sp.add_argument("--budget-secs", type=float, default=60.0, metavar="T")
     sp.add_argument("--assume-invariant", action="store_true",
@@ -69,8 +71,8 @@ def _build_argparser() -> argparse.ArgumentParser:
                          "rule directly; Safe then certifies the local bundle "
                          "only (cross-check with the oracle)")
 
-    sp = sub.add_parser("oracle", help="exhaustive check at a fixed user count")
-    common(sp, with_spec=True)
+    sp = command("oracle", _cmd_oracle, "exhaustive check at a fixed user count",
+                 spec=True, width=True, fmt=True)
     sp.add_argument("--users", type=int, default=4, metavar="N")
     sp.add_argument("--budget-states", type=int, default=10_000_000, metavar="S")
     sp.add_argument("--budget-secs", type=float, default=300.0, metavar="T")
@@ -87,11 +89,8 @@ def _load_spec(path: str, layout):
         return parse_spec(fh.read(), layout)
 
 
-def _emit(payload: dict, fmt: str, renderer) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        print(renderer(payload))
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2))
 
 
 def _render_verdict_text(name: str, verdict: Verdict) -> str:
@@ -123,29 +122,20 @@ def _fmt_state(s) -> str:
     return f"roles={list(c.roles)} data={list(c.data)} ctor={c.ctor_done} [{users}]"
 
 
-def report(verdict: Verdict, fmt: str = "json", name: str = "check") -> str:
-    """Render a verdict: the published JSON schema, or an aligned
-    human-readable text with numbered, replayable trace steps."""
-    if fmt == "json":
-        return json.dumps(verdict_to_json(verdict), indent=2)
-    return _render_verdict_text(name, verdict)
-
-
 def _cmd_parse(args) -> int:
     bundle = _load_bundle(args.contract)
     if args.dump_ast:
-        print(json.dumps(ast_nodes.to_json(bundle.unit), indent=2))
+        _print_json(ast_nodes.to_json(bundle.unit))
         return EXIT_SAFE
     layout = bundle.layout
-    payload = {
+    _print_json({
         "contracts": [c.name for c in bundle.unit.contracts],
         "layout": {"roles": list(layout.roles), "data": list(layout.data),
                    "maps": list(layout.maps)},
         "transactions": {name: {"clients": bundle.signature(name).clients,
                                 "args": bundle.signature(name).args}
                          for name in bundle.tx_order},
-    }
-    _emit(payload, args.format, lambda p: json.dumps(p, indent=2))
+    })
     return EXIT_SAFE
 
 
@@ -156,12 +146,11 @@ def _cmd_ptg(args) -> int:
     if args.dot:
         print(graph.to_dot())
         return EXIT_SAFE
-    payload = {
+    _print_json({
         "summary": {"args": sorted(summary.args), "roles": sorted(summary.roles),
                     "lits": sorted(summary.lits)},
         "graph": graph.to_json(),
-    }
-    _emit(payload, args.format, lambda p: json.dumps(p, indent=2))
+    })
     return EXIT_SAFE
 
 
@@ -170,49 +159,69 @@ def _cmd_neighbourhood(args) -> int:
     spec = _load_spec(args.spec, bundle.layout)
     graph = build_ptg(taint_summary(bundle))
     theta = spec.invariant
-    base = saturating_neighbourhood(graph, theta.role_guard_indices,
-                                    theta.lit_guard_addresses)
-    payload = {
+    base, comp = rule_neighbourhood(graph, theta)
+    _print_json({
         "saturating": {"exp": sorted(base.exp), "trans": sorted(base.trans),
                        "impl": sorted(base.impl),
                        "addresses": list(base.addresses)},
-        "compositionality": list(extend_neighbourhood(base, "compositionality")),
-        "safety": {},
-    }
-    for prop in spec.properties:
-        nb = saturating_neighbourhood(
-            graph, theta.role_guard_indices | prop.role_guard_indices,
-            theta.lit_guard_addresses | prop.lit_guard_addresses)
-        payload["safety"][prop.name] = list(extend_neighbourhood(nb, "safety",
-                                                                 k=prop.k))
-    _emit(payload, args.format, lambda p: json.dumps(p, indent=2))
+        "compositionality": list(comp),
+        "safety": {prop.name: list(rule_neighbourhood(graph, theta, prop)[1])
+                   for prop in spec.properties},
+    })
     return EXIT_SAFE
+
+
+def _load_actions(path: str, bundle, domain: DataDomain) -> list[Action]:
+    """A simulate trace: a JSON list of {tx, clients, args} objects whose
+    client and argument counts match the transaction's signature and whose
+    arguments lie in the data domain."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as e:  # malformed JSON or text that is not UTF-8
+            raise InputError(f"{path}: not JSON: {e}") from None
+    if not isinstance(raw, list):
+        raise InputError(f"{path}: expected a JSON list of actions")
+    actions = []
+    for i, entry in enumerate(raw):
+        where = f"{path}: entry {i}"
+        if not isinstance(entry, dict) or not isinstance(entry.get("tx"), str):
+            raise InputError(f"{where} is not an object with a \"tx\" name")
+        sig = bundle.signature(entry["tx"])
+        clients, targs = entry.get("clients", []), entry.get("args", [])
+        if not (isinstance(clients, list) and isinstance(targs, list)
+                and len(clients) == sig.clients and len(targs) == sig.args
+                and all(type(c) is int for c in clients)
+                and all(type(a) is int and 0 <= a < domain.limit for a in targs)):
+            raise InputError(
+                f"{where}: {sig.name} takes {sig.clients} integer client(s) and "
+                f"{sig.args} argument(s) in [0, {domain.limit})")
+        actions.append(Action(entry["tx"], tuple(clients), tuple(targs)))
+    return actions
 
 
 def _cmd_simulate(args) -> int:
     bundle = _load_bundle(args.contract)
     domain = DataDomain(args.width)
-    with open(args.trace, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    actions = _load_actions(args.trace, bundle, domain)
     state = init_state(bundle, range(args.users))
     out = [{"state": _state_json(state)}]
-    for entry in raw:
-        action = Action(entry["tx"], tuple(entry.get("clients", ())),
-                        tuple(entry.get("args", ())))
+    for action in actions:
         state = step(bundle, state, action, domain)
         out.append({"action": _action_json(action), "state": _state_json(state)})
         if state.is_bottom:
             break
-    _emit({"trace": out}, args.format, lambda p: json.dumps(p, indent=2))
+    _print_json({"trace": out})
     return EXIT_SAFE
 
 
 def _emit_verdicts(results: dict[str, Verdict], fmt: str) -> int:
     """Print named verdicts and map them to the exit code: 2 if any ran out
     of budget, else 0 if all are safe, else 1."""
-    payload = {name: verdict_to_json(v) for name, v in results.items()}
-    _emit(payload, fmt,
-          lambda p: "\n".join(_render_verdict_text(n, v) for n, v in results.items()))
+    if fmt == "json":
+        _print_json({name: verdict_to_json(v) for name, v in results.items()})
+    else:
+        print("\n".join(_render_verdict_text(n, v) for n, v in results.items()))
     if any(v.result == "exhausted" for v in results.values()):
         return EXIT_ERROR
     if all(v.is_safe for v in results.values()):
@@ -227,12 +236,10 @@ def _cmd_check(args) -> int:
     graph = build_ptg(taint_summary(bundle))
     budgets = {"budget_states": args.budget_states, "budget_secs": args.budget_secs}
     results: dict[str, Verdict] = {}
-    proceed = True
     if not args.assume_invariant:
-        comp = check_compositional(bundle, graph, spec.invariant, domain, **budgets)
-        results["compositionality"] = comp
-        proceed = comp.is_safe
-    if proceed:
+        results["compositionality"] = check_compositional(
+            bundle, graph, spec.invariant, domain, **budgets)
+    if all(v.is_safe for v in results.values()):
         for prop in spec.properties:
             results[prop.name] = check_safety(
                 bundle, graph, spec.invariant, prop, domain,
@@ -244,14 +251,12 @@ def _cmd_oracle(args) -> int:
     bundle = _load_bundle(args.contract)
     domain = DataDomain(args.width)
     if args.users < 2:
-        print("oracle needs at least 2 users", file=sys.stderr)
-        return EXIT_ERROR
+        raise TooFewUsers("oracle needs at least 2 users")
     spec = _load_spec(args.spec, bundle.layout)
-    results: dict[str, Verdict] = {}
-    for prop in spec.properties:
-        results[prop.name] = global_oracle(bundle, args.users, prop, domain,
-                                           budget_states=args.budget_states,
-                                           budget_secs=args.budget_secs)
+    results = {prop.name: global_oracle(bundle, args.users, prop, domain,
+                                        budget_states=args.budget_states,
+                                        budget_secs=args.budget_secs)
+               for prop in spec.properties}
     return _emit_verdicts(results, args.format)
 
 
@@ -261,16 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else 0
-    handlers = {
-        "parse": _cmd_parse,
-        "ptg": _cmd_ptg,
-        "neighbourhood": _cmd_neighbourhood,
-        "simulate": _cmd_simulate,
-        "check": _cmd_check,
-        "oracle": _cmd_oracle,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except MsolvError as e:
         print(f"msolv: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -43,6 +43,11 @@ class TooFewUsers(MsolvError):
     """An address set too small to host the zero account and the contract."""
 
 
+class InputError(MsolvError):
+    """Malformed input other than source or spec text: a data width out of
+    range, or a simulate trace that is not a list of declared actions."""
+
+
 class SpecSyntaxError(MsolvError):
     """Malformed property/invariant spec text."""
 

@@ -106,12 +106,10 @@ def rule_neighbourhood(ptg: PtGraph, theta: SplitInvariant,
     guards of both; every literal guard must lie in the extended set."""
     guarded = (theta,) if phi is None else (theta, phi)
     nbhd = saturating_neighbourhood(
-        ptg, frozenset().union(*(g.role_guard_indices for g in guarded)),
-        frozenset().union(*(g.lit_guard_addresses for g in guarded)))
-    if phi is None:
-        a_plus = extend_neighbourhood(nbhd, "compositionality")
-    else:
-        a_plus = extend_neighbourhood(nbhd, "safety", k=phi.k)
+        ptg, set().union(*(g.role_guard_indices for g in guarded)),
+        set().union(*(g.lit_guard_addresses for g in guarded)))
+    a_plus = (extend_neighbourhood(nbhd, "compositionality") if phi is None
+              else extend_neighbourhood(nbhd, "safety", k=phi.k))
     for g in guarded:
         check_guards_in_scope(g, a_plus)
     return nbhd, a_plus

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from . import ir
-from .errors import ResourceExhausted, TooFewUsers, UnknownFunction
+from .errors import InputError, ResourceExhausted, TooFewUsers, UnknownFunction
 from .validator import ContractBundle, ZERO_ACCOUNT
 
 DEFAULT_FUEL = 1 << 16
@@ -40,7 +40,7 @@ class DataDomain:
 
     def __post_init__(self):
         if not 1 <= self.width <= 64:
-            raise ValueError("domain width must be between 1 and 64 bits")
+            raise InputError(f"domain width must be between 1 and 64 bits, got {self.width}")
 
     @property
     def limit(self) -> int:
@@ -208,13 +208,13 @@ class _Frame:
     __slots__ = ("roles", "data", "slot_of", "store", "limit", "fuel",
                  "uses", "clients", "args", "locs", "functions")
 
-    def __init__(self, roles, data, slot_of, store, limit, fuel, uses, functions):
+    def __init__(self, roles, data, slot_of, store, limit, uses, functions):
         self.roles = roles
         self.data = data
         self.slot_of = slot_of
         self.store = store
         self.limit = limit
-        self.fuel = fuel
+        self.fuel = DEFAULT_FUEL
         self.uses = uses
         self.clients: tuple[int, ...] = ()
         self.args: tuple[int, ...] = ()
@@ -454,7 +454,7 @@ def _slot_of(ids: tuple[int, ...]) -> dict[int, int]:
 
 def _run_transaction(cb: _CompiledBundle, control: ControlState,
                      slot_of: dict[int, int], store: _Store, action: Action,
-                     limit: int, fuel: int, uses) -> ControlState | str:
+                     limit: int, uses) -> ControlState | str:
     """Execute one transaction from ``control``, leaving its map writes in
     ``store``. Returns "revert", "bottom" or the post control state.
 
@@ -467,8 +467,7 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
     if fn is None:
         raise UnknownFunction(action.tx)
     roles = list(control.roles)
-    f = _Frame(roles, list(control.data), slot_of, store, limit, fuel, uses,
-               cb.functions)
+    f = _Frame(roles, list(control.data), slot_of, store, limit, uses, cb.functions)
     if uses is None:
         clients = action.clients
         zero: int = ZERO_ACCOUNT
@@ -507,14 +506,14 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
 
 
 def step(bundle: ContractBundle, state: BundleState, action: Action,
-         domain: DataDomain, fuel: int = DEFAULT_FUEL) -> BundleState:
+         domain: DataDomain) -> BundleState:
     """Deterministic transition function over full bundle states."""
     if state.is_bottom:
         raise ValueError("cannot step from the error state")
     store = _Store({i: u.map_vals for i, u in enumerate(state.users)})
     post = _run_transaction(_compiled(bundle), state.control,
                             _slot_of(tuple(u.id for u in state.users)), store,
-                            action, domain.limit, fuel, None)
+                            action, domain.limit, None)
     if post == "revert":
         return state
     if post == "bottom":
@@ -561,10 +560,10 @@ class Leaf:
 
 def explore(bundle: ContractBundle, control: ControlState, ids: tuple[int, ...],
             domains, action: Action, domain: DataDomain,
-            fuel: int = DEFAULT_FUEL, log_uses: bool = False) -> list[Leaf]:
+            log_uses: bool = False) -> list[Leaf]:
     """All execution paths of ``action`` when each user slot's map vector
-    ranges over ``domains[slot]`` (a sequence of tuples). Deterministic
-    order: depth-first, forked values in sorted order."""
+    ranges over ``domains[slot]``, a sequence of tuples in ascending order.
+    Deterministic order: depth-first, forked values in the given order."""
     cb = _compiled(bundle)
     slot_of = _slot_of(ids)
     leaves: list[Leaf] = []
@@ -574,9 +573,9 @@ def explore(bundle: ContractBundle, control: ControlState, ids: tuple[int, ...],
         uses = [] if log_uses else None
         try:
             post = _run_transaction(cb, control, slot_of, store, action,
-                                    domain.limit, fuel, uses)
+                                    domain.limit, uses)
         except NeedChoice as nc:
-            for v in sorted(domains[nc.slot]):
+            for v in domains[nc.slot]:
                 run({**assignment, nc.slot: v})
             return
         writes = ()

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from msolv.cli import main
 
 from conftest import DATA
@@ -107,30 +109,21 @@ def test_check_output_deterministic(capsys):
     assert normalized() == normalized()
 
 
-def test_report_renderings():
-    import msolv
-    from msolv.cli import report
-    from msolv.checker import check_compositional
-    from msolv.properties import parse_spec
-    from msolv.ptg import build_ptg, taint_summary
-    from msolv.semantics import DataDomain
+def test_report_renderings(capsys):
+    code, out, _ = run(capsys, "check", AUCTION, SPEC, "--width", "2",
+                       "--format", "text")
+    assert code == 0
+    assert "compositionality: SAFE" in out and "reachable control states" in out
 
-    b = msolv.load((DATA / "auction.msol").read_text())
-    g = build_ptg(taint_summary(b))
-    d = DataDomain(2)
-    safe = check_compositional(b, g, parse_spec((DATA / "auction.spec").read_text(),
-                                                b.layout).invariant, d)
-    assert json.loads(report(safe))["result"] == "safe"
-    assert "reachable control states" in report(safe, "text")
+    code, out, _ = run(capsys, "check", AUCTION, BAD, "--width", "2",
+                       "--format", "text")
+    assert code == 1
+    assert "1." in out and "bid" in out  # numbered trace with tx names
 
-    cex = check_compositional(b, g, parse_spec((DATA / "bad.spec").read_text(),
-                                               b.layout).invariant, d)
-    text = report(cex, "text")
-    assert "1." in text and "bid" in text  # numbered trace with tx names
-
-    tiny = check_compositional(b, g, parse_spec((DATA / "auction.spec").read_text(),
-                                                b.layout).invariant, d, budget_states=1)
-    assert "states=" in report(tiny, "text") and tiny.result == "exhausted"
+    code, out, _ = run(capsys, "check", AUCTION, SPEC, "--width", "2",
+                       "--format", "text", "--budget-states", "1")
+    assert code == 2
+    assert "EXHAUSTED" in out and "states=" in out
 
 
 def test_usage_error_exit_two(capsys):
@@ -144,3 +137,27 @@ def test_syntax_error_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "parse", str(bad))
     assert code == 2
     assert "MicroSolSyntaxError" in err
+
+
+@pytest.mark.parametrize("argv, trace", [
+    (["check", AUCTION, SPEC, "--width", "0"], None),
+    (["oracle", AUCTION, SPEC, "--width", "65"], None),
+    (["oracle", AUCTION, SPEC, "--users", "1"], None),
+    (["simulate", AUCTION], "not json"),
+    (["simulate", AUCTION], [{"clients": [3], "args": [1]}]),
+    (["simulate", AUCTION], [{"tx": "stop"}]),
+    (["simulate", AUCTION], [{"tx": "constructor", "clients": [3, 2]},
+                             {"tx": "bid", "clients": [3]}]),
+    (["simulate", AUCTION], [{"tx": "bid", "clients": ["3"], "args": [1]}]),
+    (["simulate", AUCTION, "--width", "2"], [{"tx": "bid", "clients": [3], "args": [4]}]),
+], ids=["width-0", "width-65", "one-user", "not-json", "no-tx", "too-few-clients",
+        "too-few-args", "string-client", "arg-outside-domain"])
+def test_user_errors_exit_two_with_one_line(capsys, tmp_path, argv, trace):
+    if trace is not None:
+        path = tmp_path / "trace.json"
+        path.write_text(trace if isinstance(trace, str) else json.dumps(trace))
+        argv = [*argv, "--trace", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("msolv: ") and err.count("\n") == 1
