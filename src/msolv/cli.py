@@ -35,9 +35,9 @@ def _build_argparser() -> argparse.ArgumentParser:
         prog="msolv", description="MicroSol parameterized safety checker")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name: str, handler, help: str, spec: bool = False,
+    def command(name: str, handler, summary: str, spec: bool = False,
                 width: bool = False, fmt: bool = False):
-        sp = sub.add_parser(name, help=help)
+        sp = sub.add_parser(name, help=summary)
         sp.set_defaults(handler=handler)
         sp.add_argument("contract", help="MicroSol source file (.msol)")
         if spec:
