@@ -1,13 +1,18 @@
-"""Golden verdicts: the CLI output on the auction corpus, pinned byte for byte.
+"""Golden CLI output on the auction corpus, pinned byte for byte.
 
-Each case runs ``msolv.cli.main`` in-process and must reproduce the recorded
-exit code, stderr and verdict JSON (key order included; ``null`` when a
-spec does not bind and nothing is printed). Only ``stats.seconds`` is
-dropped, as the one field that varies between runs.
+Two golden files, each a list of cases run through ``msolv.cli.main``
+in-process, with the recorded exit code, stderr and stdout:
 
-Regenerate ``tests/data/verdicts.json`` with ``python tests/test_verdicts.py``
-(from the repository root, with ``src`` on ``PYTHONPATH``) only when a
-verdict is meant to change, and say why in the change log.
+* ``verdicts.json``: ``check`` and ``oracle`` runs. Stdout is the verdict
+  JSON (key order included; ``null`` when a spec does not bind and nothing
+  is printed) with ``stats.seconds`` dropped, as the one field that varies
+  between runs.
+* ``static_stages.json``: ``parse --dump-ast``, ``ptg``, ``ptg --dot`` and
+  ``neighbourhood`` runs, whose stdout is kept as the exact text.
+
+Regenerate both with ``python tests/test_verdicts.py`` (from the repository
+root, with ``src`` on ``PYTHONPATH``) only when an output is meant to
+change, and say why in the change log.
 """
 
 from __future__ import annotations
@@ -24,12 +29,15 @@ from msolv.cli import main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "verdicts.json"
+STATIC_GOLDEN = DATA / "static_stages.json"
+CONTRACTS = ("auction", "auction_plain")
+SPECS = ("auction", "bad", "p2", "p2_weak")
 
 
 def _cases() -> list[list[str]]:
     cases = []
-    for contract in ("auction", "auction_plain"):
-        for spec in ("auction", "bad", "p2", "p2_weak"):
+    for contract in CONTRACTS:
+        for spec in SPECS:
             for width in ("1", "2", "3"):
                 for flags in ([], ["--assume-invariant"]):
                     cases.append(["check", f"{contract}.msol", f"{spec}.spec",
@@ -40,36 +48,68 @@ def _cases() -> list[list[str]]:
     return cases
 
 
-def _run(argv: list[str]) -> dict:
+def _static_cases() -> list[list[str]]:
+    cases = []
+    for contract in CONTRACTS:
+        source = f"{contract}.msol"
+        cases.append(["parse", source, "--dump-ast"])
+        cases.append(["ptg", source])
+        cases.append(["ptg", source, "--dot"])
+        cases.extend(["neighbourhood", source, f"{spec}.spec"] for spec in SPECS)
+    return cases
+
+
+def _capture(argv: list[str]) -> tuple[int, str, str]:
     """Run one case; file arguments are names under ``tests/data``."""
     full = [str(DATA / a) if a.endswith((".msol", ".spec")) else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(full)
-    payload = json.loads(out.getvalue()) if out.getvalue() else None
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run(argv: list[str]) -> dict:
+    code, out, err = _capture(argv)
+    payload = json.loads(out) if out else None
     for verdict in (payload or {}).values():
         del verdict["stats"]["seconds"]
-    return {"argv": argv, "exit": code, "stderr": err.getvalue(), "stdout": payload}
+    return {"argv": argv, "exit": code, "stderr": err, "stdout": payload}
+
+
+def _run_static(argv: list[str]) -> dict:
+    code, out, err = _capture(argv)
+    return {"argv": argv, "exit": code, "stderr": err, "stdout": out}
 
 
 @functools.cache
-def _golden() -> dict[tuple[str, ...], dict]:
-    return {tuple(c["argv"]): c for c in json.loads(GOLDEN.read_text())}
+def _golden(path: Path) -> dict[tuple[str, ...], dict]:
+    return {tuple(c["argv"]): c for c in json.loads(path.read_text())}
 
 
 @pytest.mark.parametrize("argv", _cases(), ids="-".join)
 def test_golden_verdict(argv):
-    expected = _golden()[tuple(argv)]
+    expected = _golden(GOLDEN)[tuple(argv)]
     got = _run(argv)
     assert got["exit"] == expected["exit"]
     assert got["stderr"] == expected["stderr"]
     assert json.dumps(got["stdout"]) == json.dumps(expected["stdout"])
 
 
+@pytest.mark.parametrize("argv", _static_cases(), ids="-".join)
+def test_golden_static_stage(argv):
+    assert _run_static(argv) == _golden(STATIC_GOLDEN)[tuple(argv)]
+
+
 def test_golden_file_covers_every_case():
-    assert list(_golden()) == [tuple(argv) for argv in _cases()]
+    assert list(_golden(GOLDEN)) == [tuple(argv) for argv in _cases()]
+    assert list(_golden(STATIC_GOLDEN)) == [tuple(argv) for argv in _static_cases()]
+
+
+def _record(path: Path, run, cases: list[list[str]]) -> None:
+    lines = (json.dumps(run(argv), separators=(",", ":")) for argv in cases)
+    path.write_text("[\n" + ",\n".join(lines) + "\n]\n")  # one case per line
 
 
 if __name__ == "__main__":
-    lines = (json.dumps(_run(argv), separators=(",", ":")) for argv in _cases())
-    GOLDEN.write_text("[\n" + ",\n".join(lines) + "\n]\n")  # one case per line
+    _record(GOLDEN, _run, _cases())
+    _record(STATIC_GOLDEN, _run_static, _static_cases())
