@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import SpecBindingError
 from .properties import GuardedProperty, SplitInvariant, eval_split
 from .ptg import PtGraph
 from .semantics import (Action, BundleState, ControlState, DataDomain,
@@ -45,8 +44,8 @@ def saturating_neighbourhood(ptg: PtGraph, role_guards: Iterable[int],
     """Implicit-class and literal-guard addresses verbatim; then one fresh
     address per transient class or role guard, then one per explicit class.
     Fresh addresses are the smallest naturals not already taken."""
-    impl = frozenset(ptg.implicit_addresses) | frozenset(lit_guards)
-    n_trans = len(frozenset(ptg.transient_indices) | frozenset(role_guards))
+    impl = ptg.implicit_addresses | frozenset(lit_guards)
+    n_trans = len(ptg.transient_indices | frozenset(role_guards))
     n_exp = len(ptg.explicit_indices)
     used = set(impl)
     counter = itertools.count()
@@ -86,32 +85,18 @@ def extend_neighbourhood(nbhd: Neighbourhood, mode: str, k: int = 0) -> tuple[in
     return tuple(sorted(base))
 
 
-def check_guards_in_scope(obj: SplitInvariant | GuardedProperty,
-                          addresses: Iterable[int]) -> None:
-    """Literal guards naming addresses outside the neighbourhood could never
-    bind a representative; reject the configuration up front."""
-    addrs = set(addresses)
-    missing = sorted(obj.lit_guard_addresses - addrs)
-    if missing:
-        raise SpecBindingError(
-            f"literal guard address(es) {missing} are outside the neighbourhood {sorted(addrs)}")
-
-
 def rule_neighbourhood(ptg: PtGraph, theta: SplitInvariant,
                        phi: GuardedProperty | None = None
                        ) -> tuple[Neighbourhood, tuple[int, ...]]:
     """The saturating neighbourhood of one proof rule and its extended
     address set: the compositionality rule's for ``theta`` alone, the safety
     rule's for ``theta`` and ``phi``. The neighbourhood is saturated for the
-    guards of both; every literal guard must lie in the extended set."""
+    guards of both, so every literal guard address is one of its members."""
     guarded = (theta,) if phi is None else (theta, phi)
-    nbhd = saturating_neighbourhood(
-        ptg, set().union(*(g.role_guard_indices for g in guarded)),
-        set().union(*(g.lit_guard_addresses for g in guarded)))
+    nbhd = saturating_neighbourhood(ptg, {r for g in guarded for r, _ in g.roles},
+                                    {a for g in guarded for a, _ in g.lits})
     a_plus = (extend_neighbourhood(nbhd, "compositionality") if phi is None
               else extend_neighbourhood(nbhd, "safety", k=phi.k))
-    for g in guarded:
-        check_guards_in_scope(g, a_plus)
     return nbhd, a_plus
 
 

@@ -243,14 +243,6 @@ class GuardedProperty:
     xi: ObliviousPredicate
     name: str = "property"
 
-    @property
-    def lit_guard_addresses(self) -> frozenset[int]:
-        return frozenset(a for a, _ in self.lits)
-
-    @property
-    def role_guard_indices(self) -> frozenset[int]:
-        return frozenset(r for r, _ in self.roles)
-
 
 @dataclass(frozen=True)
 class SplitInvariant:
@@ -260,14 +252,6 @@ class SplitInvariant:
     lits: tuple[tuple[int, ObliviousPredicate], ...]
     roles: tuple[tuple[int, ObliviousPredicate], ...]
     else_pred: ObliviousPredicate
-
-    @property
-    def lit_guard_addresses(self) -> frozenset[int]:
-        return frozenset(a for a, _ in self.lits)
-
-    @property
-    def role_guard_indices(self) -> frozenset[int]:
-        return frozenset(r for r, _ in self.roles)
 
 
 def trivial_invariant() -> SplitInvariant:

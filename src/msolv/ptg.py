@@ -34,29 +34,35 @@ class TaintSummary:
 
 @dataclass(frozen=True)
 class PtGraph:
-    """The derived participation topology graph.
+    """The participation topology graph, held as its three label classes:
+    client slots (explicit), role indices (transient) and literal addresses
+    (implicit).
 
-    Vertices are the literal addresses plus the contract vertex ``sc`` and
-    the fold-all vertex ``*``; every edge leaves ``sc``. Labels are
-    ("explicit", i), ("transient", i), or ("implicit", a).
+    Drawn as a graph, the vertices are the literal addresses plus the
+    contract vertex ``sc`` and the fold-all vertex ``*``; every edge leaves
+    ``sc`` and carries ("explicit", i) and ("transient", i) for every class,
+    and the edge to a literal a also carries ("implicit", a).
     """
 
-    lits: frozenset[int]
-    vertices: frozenset
-    edges: frozenset[tuple]
-    labels: frozenset[tuple]  # (edge, label)
+    explicit_indices: frozenset[int]
+    transient_indices: frozenset[int]
+    implicit_addresses: frozenset[int]
 
     @property
-    def explicit_indices(self) -> frozenset[int]:
-        return frozenset(l[1] for _, l in self.labels if l[0] == "explicit")
+    def vertices(self) -> frozenset:
+        return self.implicit_addresses | {SC, STAR}
 
     @property
-    def transient_indices(self) -> frozenset[int]:
-        return frozenset(l[1] for _, l in self.labels if l[0] == "transient")
+    def edges(self) -> frozenset[tuple]:
+        return frozenset((SC, v) for v in self.vertices if v != SC)
 
     @property
-    def implicit_addresses(self) -> frozenset[int]:
-        return frozenset(l[1] for _, l in self.labels if l[0] == "implicit")
+    def labels(self) -> frozenset[tuple]:
+        """(edge, label) pairs."""
+        shared = ([("explicit", i) for i in self.explicit_indices]
+                  + [("transient", i) for i in self.transient_indices])
+        return frozenset((e, l) for e in self.edges for l in shared) | {
+            ((SC, a), ("implicit", a)) for a in self.implicit_addresses}
 
     def to_json(self) -> dict:
         return {
@@ -211,44 +217,25 @@ def taint_summary(bundle: ContractBundle) -> TaintSummary:
 
 
 def build_ptg(summary: TaintSummary) -> PtGraph:
-    """Derive the labeled graph from a taint summary (a pure function):
-    one vertex per literal plus sc and *, star edges from sc, explicit and
-    transient labels on every edge, implicit@a on the edge to a."""
-    vertices = frozenset(summary.lits) | {SC, STAR}
-    edges = frozenset((SC, v) for v in vertices if v != SC)
-    labels: set[tuple] = set()
-    for e in edges:
-        for i in summary.args:
-            labels.add((e, ("explicit", i)))
-        for i in summary.roles:
-            labels.add((e, ("transient", i)))
-    for a in summary.lits:
-        labels.add(((SC, a), ("implicit", a)))
-    return PtGraph(frozenset(summary.lits), vertices, edges, frozenset(labels))
+    """The graph of a taint summary: its client slots, role indices and
+    literal addresses become the explicit, transient and implicit labels."""
+    return PtGraph(summary.args, summary.roles, summary.lits)
 
 
 # --------------------------------------------------------------------------
 # semantic participation (the oracle side of the over-approximation theorem)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SemanticPT:
-    explicit: frozenset[tuple[int, int]]   # (client slot, address)
-    transient: frozenset[tuple[int, int]]  # (role index, address)
-    implicit: frozenset[int]
-    participants: frozenset[int]
-
-
 @dataclass
-class _PtCollector:
-    """Accumulates participants classified by how the contract reached
+class SemanticPT:
+    """Participants of one action, classified by how the contract reached
     them: through a client input, a stored role, or a literal address. The
     provenance comes from the interpreter's tagged use log, which is what
     distinguishes, say, a manager compared by role from the same address
     incidentally appearing as an unused argument."""
 
-    explicit: set[tuple[int, int]] = field(default_factory=set)
-    transient: set[tuple[int, int]] = field(default_factory=set)
+    explicit: set[tuple[int, int]] = field(default_factory=set)   # (client slot, address)
+    transient: set[tuple[int, int]] = field(default_factory=set)  # (role index, address)
     implicit: set[int] = field(default_factory=set)
     participants: set[int] = field(default_factory=set)
 
@@ -261,10 +248,6 @@ class _PtCollector:
                 self.transient.add((idx, a))
             else:
                 self.implicit.add(a)
-
-    def result(self) -> SemanticPT:
-        return SemanticPT(frozenset(self.explicit), frozenset(self.transient),
-                          frozenset(self.implicit), frozenset(self.participants))
 
 
 def _fresh_address(bundle: ContractBundle, n: int) -> int:
@@ -339,7 +322,7 @@ def semantic_pt(bundle: ContractBundle, n: int, action: Action,
     ids = tuple(range(n))
     vectors = tuple(itertools.product(domain.values(), repeat=bundle.n_maps))
     domains = {slot: vectors for slot in range(n)}
-    collector = _PtCollector()
+    pt = SemanticPT()
     work = 0
     id_set = set(ids)
     for control in _controls(bundle, n, domain):
@@ -356,12 +339,12 @@ def semantic_pt(bundle: ContractBundle, n: int, action: Action,
             for slot, cell, val in leaf.write_cells:
                 base = assign.get(slot)
                 if base is None or base[cell] != val:
-                    collector.attribute(ids[slot], uses.get(ids[slot], ()))
+                    pt.attribute(ids[slot], uses.get(ids[slot], ()))
             # influence via readdressing: any use of the old address faults
             if leaf.outcome != "bottom":
                 for a, origins in uses.items():
                     if a in id_set:
-                        collector.attribute(a, origins)
+                        pt.attribute(a, origins)
         # influence via map variants: pair executions whose read sets agree
         # everywhere except the varied slot (a leaf that never read the slot
         # stands for every value of it)
@@ -378,9 +361,9 @@ def semantic_pt(bundle: ContractBundle, n: int, action: Action,
                 merged = {s: v for s, v in {**ax, **ay}.items() if s != slot}
                 if _leaf_post_differs(x, y, slot, merged):
                     origins = set(ux.get(ids[slot], ())) | set(uy.get(ids[slot], ()))
-                    collector.attribute(ids[slot], origins)
+                    pt.attribute(ids[slot], origins)
                     break
-    return collector.result()
+    return pt
 
 
 def semantic_pt_naive(bundle: ContractBundle, n: int, action: Action,
@@ -393,7 +376,7 @@ def semantic_pt_naive(bundle: ContractBundle, n: int, action: Action,
     ids = tuple(range(n))
     fresh = _fresh_address(bundle, n)
     vectors = tuple(itertools.product(domain.values(), repeat=bundle.n_maps))
-    collector = _PtCollector()
+    pt = SemanticPT()
 
     def users_of(assign: tuple) -> tuple[UserRecord, ...]:
         return tuple(UserRecord(ids[i], assign[i]) for i in range(n))
@@ -414,7 +397,7 @@ def semantic_pt_naive(bundle: ContractBundle, n: int, action: Action,
                 origins = set(base_uses.get(ids[i], ()))
                 if extra_state is not None:
                     origins.update(uses_of(extra_state).get(ids[i], ()))
-                collector.attribute(ids[i], origins)
+                pt.attribute(ids[i], origins)
 
             for i in range(n):
                 if base_post.users[i] != base_state.users[i]:
@@ -430,7 +413,7 @@ def semantic_pt_naive(bundle: ContractBundle, n: int, action: Action,
                             for j in range(n) if j != i):
                         attribute(i, vstate)
                         break
-    return collector.result()
+    return pt
 
 
 def coverage_violations(ptg: PtGraph, pt: SemanticPT) -> list[str]:

@@ -1,9 +1,8 @@
 import pytest
 
-from msolv.errors import SpecBindingError
-from msolv.localization import (Neighbourhood, check_guards_in_scope,
-                                extend_neighbourhood, interference_successors,
-                                local_step, saturating_neighbourhood)
+from msolv.localization import (Neighbourhood, extend_neighbourhood,
+                                interference_successors, local_step,
+                                saturating_neighbourhood)
 from msolv.properties import parse_spec
 from msolv.ptg import TaintSummary, build_ptg
 from msolv.semantics import (Action, BundleState, ControlState, DataDomain,
@@ -53,12 +52,6 @@ def test_extend_neighbourhood_modes(auction_ptg):
 def test_neighbourhood_disjointness_enforced():
     with pytest.raises(ValueError):
         Neighbourhood(frozenset({1}), frozenset({1}), frozenset())
-
-
-def test_guards_in_scope(auction_spec):
-    check_guards_in_scope(auction_spec.invariant, (0, 1, 2, 3))
-    with pytest.raises(SpecBindingError):
-        check_guards_in_scope(auction_spec.invariant, (1, 2, 3))
 
 
 # ---------------------------------------------------------------- interference

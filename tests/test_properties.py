@@ -29,9 +29,8 @@ def control(lb=0, stopped=0, total=0, mgr=2):
 def test_parse_theta1_structure():
     spec = parse_spec(THETA1)
     theta = spec.invariant
-    assert theta.lit_guard_addresses == {0}
-    assert theta.role_guard_indices == set()
-    assert len(theta.lits) == 1 and theta.lits[0][0] == 0
+    assert [a for a, _ in theta.lits] == [0]
+    assert theta.roles == ()
     assert spec.has_invariant
 
 

@@ -81,8 +81,8 @@ def _reference_search(bundle, ptg, theta, phi, domain):
     a property violation. Returns ("safe", reachable non-frozen controls)
     or ("cex_property", trace length)."""
     nbhd = saturating_neighbourhood(
-        ptg, theta.role_guard_indices | phi.role_guard_indices,
-        theta.lit_guard_addresses | phi.lit_guard_addresses)
+        ptg, {r for r, _ in theta.roles} | {r for r, _ in phi.roles},
+        {a for a, _ in theta.lits} | {a for a, _ in phi.lits})
     ids = extend_neighbourhood(nbhd, "safety", k=phi.k)
     actions = list(enumerate_actions(bundle, ids, domain))
     s0 = init_state(bundle, ids)
