@@ -19,7 +19,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .errors import PreconditionUnmet
+from .errors import BudgetExceeded, PreconditionUnmet
 from .localization import allowed_vectors, rule_neighbourhood
 from .properties import (GuardedProperty, SplitInvariant, check_universal,
                          eval_guarded, eval_split)
@@ -123,7 +123,8 @@ class _LocalEngine:
     sets at its control; only the initial class and frozen classes carry
     explicit per-slot value tuples. ``parents`` maps every recorded class to
     the link ``(pre_key, action_index, leaf)`` that first reached it, and the
-    initial class to None.
+    initial class to None. The allowed sets are enumerated as controls are
+    reached, the initial one included, all under the time budget.
     """
 
     def __init__(self, bundle: ContractBundle, theta: SplitInvariant,
@@ -135,19 +136,13 @@ class _LocalEngine:
         self.domain = domain
         self.actions = list(enumerate_actions(bundle, self.ids, domain))
         self.budget_states = budget_states
-        self.budget_secs = budget_secs
         self._allowed: dict[ControlState, tuple] = {}
         self.transitions = 0
         self.started = time.monotonic()
-        zeros = (0,) * bundle.n_maps
-        control = ControlState((0,) * bundle.n_roles, (0,) * bundle.n_data, 0)
-        vectors, allowed = self._allowed_at(control)
-        init_domains = tuple((zeros,) for _ in self.ids)
-        self.init = (control, None if init_domains == vectors else init_domains)
-        self.parents: dict[tuple, tuple | None] = {self.init: None}
-        # The first user the initial state puts outside the invariant, if any.
-        self._init_bad_slot = next(
-            (s for s, ok in enumerate(allowed) if zeros not in ok), None)
+        self.deadline = self.started + budget_secs
+        self.init = None
+        self._init_bad_slot = None
+        self.parents: dict[tuple, tuple | None] = {}
 
     # -- class plumbing --------------------------------------------------
 
@@ -156,7 +151,8 @@ class _LocalEngine:
         cached = self._allowed.get(control)
         if cached is None:
             vectors = tuple(
-                allowed_vectors(self.theta, control, uid, self.domain, self.bundle.n_maps)
+                allowed_vectors(self.theta, control, uid, self.domain,
+                                self.bundle.n_maps, deadline=self.deadline)
                 for uid in self.ids)
             cached = (vectors, tuple(frozenset(v) for v in vectors))
             self._allowed[control] = cached
@@ -249,8 +245,23 @@ class _LocalEngine:
     def run(self, phi: GuardedProperty | None = None) -> Verdict:
         """The compositionality rule without ``phi``, the safety rule with
         it. Each level is expanded in full before its first violation is
-        reported, so ``stats`` do not depend on where in the level it is."""
-        init, bad = self.init, self._init_bad_slot
+        reported, so ``stats`` do not depend on where in the level it is.
+        A state or time budget running out gives an ``exhausted`` verdict."""
+        try:
+            return self._search(phi)
+        except BudgetExceeded as e:
+            return Verdict("exhausted", self._stats(), reason=str(e))
+
+    def _search(self, phi: GuardedProperty | None) -> Verdict:
+        zeros = (0,) * self.bundle.n_maps
+        control = ControlState((0,) * self.bundle.n_roles, (0,) * self.bundle.n_data, 0)
+        vectors, allowed = self._allowed_at(control)
+        init_domains = tuple((zeros,) for _ in self.ids)
+        init = self.init = (control, None if init_domains == vectors else init_domains)
+        self.parents[init] = None
+        # The first user the initial state puts outside the invariant, if any.
+        bad = self._init_bad_slot = next(
+            (s for s, ok in enumerate(allowed) if zeros not in ok), None)
         if phi is None and bad is not None:
             return self._cex("cex_invariant", None, init, {},
                              f"initial state violates the invariant for user {self.ids[bad]}")
@@ -264,9 +275,9 @@ class _LocalEngine:
             next_frontier: list[tuple] = []
             for key in frontier:
                 if len(self.parents) > self.budget_states:
-                    return Verdict("exhausted", self._stats(), reason="state budget exceeded")
-                if time.monotonic() - self.started > self.budget_secs:
-                    return Verdict("exhausted", self._stats(), reason="time budget exceeded")
+                    raise BudgetExceeded("state budget exceeded")
+                if time.monotonic() > self.deadline:
+                    raise BudgetExceeded("time budget exceeded")
                 for kind, ai, leaf, succ, bad in self._successors(key):
                     link = (key, ai, leaf)
                     if kind == "bottom":

@@ -10,9 +10,12 @@ witness that the invariant is not closed under that transaction.
 from __future__ import annotations
 
 import itertools
+import math
+import time
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import BudgetExceeded
 from .properties import GuardedProperty, SplitInvariant, eval_split
 from .ptg import PtGraph
 from .semantics import (Action, BundleState, ControlState, DataDomain,
@@ -101,11 +104,19 @@ def rule_neighbourhood(ptg: PtGraph, theta: SplitInvariant,
 
 
 def allowed_vectors(theta: SplitInvariant, control: ControlState, user_id: int,
-                    domain: DataDomain, n_maps: int) -> tuple[tuple[int, ...], ...]:
+                    domain: DataDomain, n_maps: int, *,
+                    deadline: float = math.inf) -> tuple[tuple[int, ...], ...]:
     """All map vectors the invariant admits for this user at this control
-    state, in ascending order."""
-    return tuple(v for v in itertools.product(domain.values(), repeat=n_maps)
-                 if eval_split(theta, control, UserRecord(user_id, v), domain))
+    state, in ascending order. There are 2^(width * n_maps) vectors to try,
+    so the enumeration raises BudgetExceeded once ``time.monotonic()``
+    passes ``deadline``."""
+    out = []
+    for v in itertools.product(domain.values(), repeat=n_maps):
+        if time.monotonic() > deadline:
+            raise BudgetExceeded("time budget exceeded")
+        if eval_split(theta, control, UserRecord(user_id, v), domain):
+            out.append(v)
+    return tuple(out)
 
 
 def interference_successors(theta: SplitInvariant, state: BundleState,

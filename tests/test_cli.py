@@ -126,6 +126,18 @@ def test_report_renderings(capsys):
     assert "EXHAUSTED" in out and "states=" in out
 
 
+def test_time_budget_bounds_allowed_set_enumeration(capsys):
+    # At width 18 each user's allowed set has 2^18 candidate vectors; the
+    # time budget must stop that enumeration, the initial control's too.
+    code, out, _ = run(capsys, "check", AUCTION, SPEC, "--width", "18",
+                       "--budget-secs", "0.5")
+    verdict = json.loads(out)["compositionality"]
+    assert code == 2
+    assert verdict["result"] == "exhausted"
+    assert verdict["reason"] == "time budget exceeded"
+    assert verdict["stats"]["seconds"] < 1.5
+
+
 def test_usage_error_exit_two(capsys):
     assert main(["check"]) == 2
     assert main(["check", "/nonexistent.msol", SPEC]) == 2
