@@ -21,13 +21,9 @@ class Pos:
 _NOPOS = Pos(0, 0)
 
 
-def _posfield() -> Pos:
-    return _NOPOS
-
-
 @dataclass(frozen=True)
 class Node:
-    pass
+    pos: Pos = field(default=_NOPOS, compare=False, kw_only=True)
 
 
 # ---------------------------------------------------------------- types
@@ -38,7 +34,6 @@ class TypeName(Node):
 
     kind: str  # "uint" | "bool" | "address" | "mapping" | "contract"
     contract: str = ""
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 # ---------------------------------------------------------------- expressions
@@ -46,13 +41,11 @@ class TypeName(Node):
 @dataclass(frozen=True)
 class IntLit(Node):
     value: int
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
 class BoolLit(Node):
     value: bool
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
@@ -60,23 +53,21 @@ class AddressLit(Node):
     """``address(K)`` with an integer literal K."""
 
     value: int
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
 class Name(Node):
     ident: str
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
 class This(Node):
-    pos: Pos = field(default_factory=_posfield, compare=False)
+    pass
 
 
 @dataclass(frozen=True)
 class MsgSender(Node):
-    pos: Pos = field(default_factory=_posfield, compare=False)
+    pass
 
 
 @dataclass(frozen=True)
@@ -84,13 +75,11 @@ class Binary(Node):
     op: str  # == != < > + - * / && ||
     left: Expr
     right: Expr
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
 class Not(Node):
     operand: Expr
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
@@ -98,14 +87,12 @@ class AddressCast(Node):
     """``address(v)`` over a name (grammar form); integer payloads lex to AddressLit."""
 
     operand: Expr
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
 class Index(Node):
     base: Expr
     key: Expr
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
@@ -114,7 +101,6 @@ class Call(Node):
 
     func: str
     callargs: tuple[Expr, ...]
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
@@ -124,7 +110,6 @@ class MemberCall(Node):
     target: Expr
     func: str
     callargs: tuple[Expr, ...]
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 Expr = Union[
@@ -144,14 +129,12 @@ EXPR_NODE_TYPES = (
 class VarDecl(Node):
     typ: TypeName
     name: str
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
 class Assign(Node):
     target: Expr  # Name or Index
     value: Expr
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
@@ -159,38 +142,33 @@ class NewAssign(Node):
     target: Expr  # Name of a contract-reference variable
     contract: str
     callargs: tuple[Expr, ...]
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
 class Require(Node):
     cond: Expr
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
 class Assert(Node):
     cond: Expr
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
 class Return(Node):
-    pos: Pos = field(default_factory=_posfield, compare=False)
+    pass
 
 
 @dataclass(frozen=True)
 class If(Node):
     cond: Expr
     body: tuple[Stmt, ...]
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
 class While(Node):
     cond: Expr
     body: tuple[Stmt, ...]
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
@@ -198,7 +176,6 @@ class ExprStmt(Node):
     """A bare call used for its effect (cross-contract or internal call)."""
 
     expr: Expr
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 Stmt = Union[VarDecl, Assign, NewAssign, Require, Assert, Return, If, While, ExprStmt]
@@ -212,7 +189,6 @@ STMT_NODE_TYPES = (VarDecl, Assign, NewAssign, Require, Assert, Return, If, Whil
 class Param(Node):
     typ: TypeName
     name: str
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
@@ -221,7 +197,6 @@ class FunctionDecl(Node):
     params: tuple[Param, ...]
     body: tuple[Stmt, ...]
     is_constructor: bool = False
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
@@ -230,13 +205,11 @@ class ContractDecl(Node):
     state_vars: tuple[VarDecl, ...]
     constructor: FunctionDecl
     functions: tuple[FunctionDecl, ...]
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 @dataclass(frozen=True)
 class SourceUnit(Node):
     contracts: tuple[ContractDecl, ...]
-    pos: Pos = field(default_factory=_posfield, compare=False)
 
 
 ALL_NODE_TYPES = EXPR_NODE_TYPES + STMT_NODE_TYPES + (
@@ -249,7 +222,7 @@ def walk(node: Node):
     yield node
     for f in fields(node):
         v = getattr(node, f.name)
-        if isinstance(v, Node) and not isinstance(v, Pos):
+        if isinstance(v, Node):
             yield from walk(v)
         elif isinstance(v, tuple):
             for item in v:
