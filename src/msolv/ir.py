@@ -124,8 +124,9 @@ class SWhile:
 class SCall:
     """Bound call: ``callee`` is (contract_index, function_name).
 
-    ``sender`` is the caller contract's account address for cross-contract
-    calls and ``new``; internal calls forward the current clients vector.
+    ``forwards_clients`` is true for internal calls, which keep the current
+    clients vector; cross-contract calls and ``new`` run with a contract
+    account as sender.
     """
 
     callee: tuple[int, str]
@@ -142,4 +143,3 @@ class IRFunction:
     n_args: int
     n_locals: int
     body: tuple
-    is_constructor: bool

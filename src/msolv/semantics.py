@@ -107,13 +107,12 @@ def init_state(bundle: ContractBundle, addresses: Iterable[int]) -> BundleState:
 
 
 def enumerate_actions(bundle: ContractBundle, addresses: Iterable[int],
-                      domain: DataDomain, function: str | None = None) -> Iterator[Action]:
+                      domain: DataDomain) -> Iterator[Action]:
     """Every (tx, clients, args) combination exactly once, in a fixed order:
     transactions in declaration order (constructor first), then clients and
     arguments lexicographically over the sorted address set."""
     addrs = sorted(addresses)
-    names = (function,) if function is not None else bundle.tx_order
-    for name in names:
+    for name in bundle.tx_order:
         sig = bundle.signature(name)
         for clients in itertools.product(addrs, repeat=sig.clients):
             for args in itertools.product(domain.values(), repeat=sig.args):
@@ -425,7 +424,6 @@ class _CompiledFunction:
 
 class _CompiledBundle:
     def __init__(self, bundle: ContractBundle):
-        self.bundle = bundle
         self.accounts = bundle.contract_accounts
         self.functions: dict[tuple[int, str], _CompiledFunction] = {}
         for key, fn in bundle.all_functions.items():

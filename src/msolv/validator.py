@@ -231,7 +231,6 @@ class _FunctionLowering:
             n_args=n_args,
             n_locals=len(self.locals),
             body=body,
-            is_constructor=self.fn.is_constructor,
         )
 
     # -- expression lowering; returns (kind, ir_expr) -------------------
@@ -268,8 +267,6 @@ class _FunctionLowering:
         n = e.ident
         if n in self.locals:
             slot, kind = self.locals[n]
-            if kind == "ref":
-                return f"ref:{self.info.var_ref_target.get(n, '')}", ("local-ref", n)
             return kind, ir.RLocal(slot, kind == _ADDRESS)
         if n in self.client_slot:
             return _ADDRESS, ir.RClient(self.client_slot[n])
@@ -292,7 +289,7 @@ class _FunctionLowering:
         if kind == _ADDRESS:
             return _ADDRESS, inner
         if kind.startswith("ref:"):
-            idx = self._ref_instance(e.operand, kind)
+            idx = self._ref_instance(e.operand)
             return _ADDRESS, ir.RAddrLit(ROOT_ACCOUNT + idx)
         raise _err("no-numeric-cast", "numeric values cannot be cast to address", e)
 
@@ -334,7 +331,7 @@ class _FunctionLowering:
             return _NUMERIC, ir.RBin(e.op, left, right)
         raise _err("internal", f"unhandled operator {e.op}", e)
 
-    def _ref_instance(self, target: A.Expr, kind: str) -> int:
+    def _ref_instance(self, target: A.Expr) -> int:
         if not isinstance(target, A.Name):
             raise _err("type-mismatch", "contract references must be named variables", target)
         binding = self.info.ref_binding.get(target.ident)
@@ -405,8 +402,6 @@ class _FunctionLowering:
         vk, value = self._expr(s.value)
         if name in self.locals:
             slot, kind = self.locals[name]
-            if kind == "ref":
-                raise _err("type-mismatch", "contract references are bound with `new`", s)
             if kind != vk:
                 rule = "no-numeric-cast" if kind == _ADDRESS and vk == _NUMERIC else "type-mismatch"
                 raise _err(rule, f"cannot assign {vk} to {kind} variable {name}", s)
@@ -470,7 +465,7 @@ class _FunctionLowering:
             kind, _ = self._expr(e.target)
             if not kind.startswith("ref:"):
                 raise _err("type-mismatch", "only contract references can be called", s)
-            idx = self._ref_instance(e.target, kind)
+            idx = self._ref_instance(e.target)
             return self._lower_call(self.v.contracts[idx], e.func, e.callargs, s,
                                     forwards_clients=False)
         raise _err("bad-statement", "only calls may be used as statements", s)
