@@ -49,19 +49,9 @@ def saturating_neighbourhood(ptg: PtGraph, role_guards: Iterable[int],
     Fresh addresses are the smallest naturals not already taken."""
     impl = ptg.implicit_addresses | frozenset(lit_guards)
     n_trans = len(ptg.transient_indices | frozenset(role_guards))
-    n_exp = len(ptg.explicit_indices)
-    used = set(impl)
-    counter = itertools.count()
-
-    def fresh() -> int:
-        for a in counter:
-            if a not in used:
-                used.add(a)
-                return a
-        raise AssertionError("unreachable")
-
-    trans = frozenset(fresh() for _ in range(n_trans))
-    exp = frozenset(fresh() for _ in range(n_exp))
+    fresh = (a for a in itertools.count() if a not in impl)
+    trans = frozenset(itertools.islice(fresh, n_trans))
+    exp = frozenset(itertools.islice(fresh, len(ptg.explicit_indices)))
     return Neighbourhood(exp, trans, impl)
 
 
@@ -72,20 +62,15 @@ def extend_neighbourhood(nbhd: Neighbourhood, mode: str, k: int = 0) -> tuple[in
     interference. ``"safety"`` adds max(0, k - |exp|) fresh addresses so a
     k-universal property has enough arbitrary representatives.
     """
-    base = set(nbhd.addresses)
+    base = frozenset(nbhd.addresses)
     if mode == "compositionality":
         missing = 1
     elif mode == "safety":
         missing = max(0, k - len(nbhd.exp))
     else:
         raise ValueError("mode must be 'compositionality' or 'safety'")
-    for a in itertools.count():
-        if missing == 0:
-            break
-        if a not in base:
-            base.add(a)
-            missing -= 1
-    return tuple(sorted(base))
+    fresh = (a for a in itertools.count() if a not in base)
+    return tuple(sorted(base.union(itertools.islice(fresh, missing))))
 
 
 def rule_neighbourhood(ptg: PtGraph, theta: SplitInvariant,

@@ -77,11 +77,9 @@ class PtGraph:
         for v in sorted(self.vertices, key=str):
             shape = "box" if v == SC else "circle"
             lines.append(f'  "{v}" [shape={shape}];')
-        by_edge: dict[tuple, list[str]] = {}
-        for e, l in sorted(self.labels, key=str):
-            by_edge.setdefault(e, []).append(f"{l[0]}@{l[1]}")
+        labels = self.labels
         for e in sorted(self.edges, key=str):
-            label = "\\n".join(by_edge.get(e, []))
+            label = "\\n".join(sorted(f"{k}@{i}" for edge, (k, i) in labels if edge == e))
             lines.append(f'  "{e[0]}" -> "{e[1]}" [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
@@ -102,6 +100,12 @@ class _FnTaint:
         self.sink_clients: set[int] = set()             # this fn's client slots
         self.sink_roles: set[int] = set()
         self.sink_lits: set[int] = set()
+
+    def size(self) -> tuple[int, ...]:
+        """Grows whenever the fixpoint iteration learns something."""
+        return (len(self.sink_clients), len(self.sink_roles), len(self.sink_lits),
+                sum(map(len, self.local_origins.values())),
+                sum(map(len, self.role_writes.values())))
 
 
 def _expr_origins(t: _FnTaint, e) -> set[_Origin]:
@@ -196,15 +200,10 @@ def taint_summary(bundle: ContractBundle) -> TaintSummary:
     while changed:
         changed = False
         for t in taints.values():
-            before = (len(t.sink_clients), len(t.sink_roles), len(t.sink_lits),
-                      sum(len(v) for v in t.local_origins.values()),
-                      sum(len(v) for v in t.role_writes.values()))
+            before = t.size()
             for s in t.fn.body:
                 _walk_stmt(t, s, tables)
-            after = (len(t.sink_clients), len(t.sink_roles), len(t.sink_lits),
-                     sum(len(v) for v in t.local_origins.values()),
-                     sum(len(v) for v in t.role_writes.values()))
-            changed = changed or before != after
+            changed = changed or before != t.size()
     args: set[int] = {0}
     roles: set[int] = set()
     lits: set[int] = {ZERO_ACCOUNT, *bundle.contract_accounts}
