@@ -3,7 +3,7 @@
 The validator lowers the surface AST into these nodes: every variable
 reference is replaced by its storage class and index, bools are folded to
 {0,1}, ``this`` becomes the contract's account address, and cross-contract
-calls are bound to their static instance.
+calls are bound to their static instance with their msg.sender spelled out.
 """
 
 from __future__ import annotations
@@ -124,15 +124,15 @@ class SWhile:
 class SCall:
     """Bound call: ``callee`` is (contract_index, function_name).
 
-    ``forwards_clients`` is true for internal calls, which keep the current
-    clients vector; cross-contract calls and ``new`` run with a contract
-    account as sender.
+    ``client_exprs[i]`` is the callee's client slot i. Slot 0, its
+    msg.sender, is ``RClient(0)`` for an internal call, which keeps the
+    caller's sender, and the calling contract's ``this`` literal for a
+    cross-contract call or ``new``.
     """
 
     callee: tuple[int, str]
     client_exprs: tuple
     arg_exprs: tuple
-    forwards_clients: bool
 
 
 @dataclass(frozen=True)

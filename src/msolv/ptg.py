@@ -145,7 +145,7 @@ def _walk_expr(t: _FnTaint, e) -> None:
         _sink(t, _expr_origins(t, e.key))
 
 
-def _walk_stmt(t: _FnTaint, s, tables: dict) -> None:
+def _walk_stmt(t: _FnTaint, s, taints: dict) -> None:
     if isinstance(s, ir.SRole):
         _walk_expr(t, s.value)
         t.role_writes.setdefault(s.index, set()).update(_expr_origins(t, s.value))
@@ -163,24 +163,17 @@ def _walk_stmt(t: _FnTaint, s, tables: dict) -> None:
     elif isinstance(s, (ir.SIf, ir.SWhile)):
         _walk_expr(t, s.cond)
         for b in s.body:
-            _walk_stmt(t, b, tables)
+            _walk_stmt(t, b, taints)
     elif isinstance(s, ir.SCall):
-        callee = tables["taints"][s.callee]
-        accounts = tables["accounts"]
+        callee = taints[s.callee]
         for e in s.client_exprs:
             _walk_expr(t, e)
         for e in s.arg_exprs:
             _walk_expr(t, e)
         # Addresses handed to a callee that sinks the matching client slot
-        # reach a sink here too. Slot 0 of the callee is the effective sender.
+        # reach a sink here too.
         for slot in callee.sink_clients:
-            if slot == 0:
-                if s.forwards_clients:
-                    _sink(t, {("client", 0)})
-                else:
-                    _sink(t, {("lit", accounts[t.fn.contract_index])})
-            elif slot - 1 < len(s.client_exprs):
-                _sink(t, _expr_origins(t, s.client_exprs[slot - 1]))
+            _sink(t, _expr_origins(t, s.client_exprs[slot]))
         t.sink_roles.update(callee.sink_roles)
         t.sink_lits.update(callee.sink_lits)
 
@@ -195,14 +188,13 @@ def taint_summary(bundle: ContractBundle) -> TaintSummary:
     derived neighbourhoods always contain a representative able to act.
     """
     taints = {key: _FnTaint(fn) for key, fn in bundle.all_functions.items()}
-    tables = {"taints": taints, "accounts": bundle.contract_accounts}
     changed = True
     while changed:
         changed = False
         for t in taints.values():
             before = t.size()
             for s in t.fn.body:
-                _walk_stmt(t, s, tables)
+                _walk_stmt(t, s, taints)
             changed = changed or before != t.size()
     args: set[int] = {0}
     roles: set[int] = set()

@@ -180,6 +180,12 @@ class TaggedAddress(int):
         return self
 
 
+def _implicit(a: int) -> TaggedAddress:
+    """A fixed address (a literal, ``this`` or a guard account), tagged once
+    at compile time."""
+    return TaggedAddress(a, (("implicit", a),))
+
+
 class _Store:
     """Per-slot map vectors plus the cells a transaction wrote. A slot with
     no vector yet forks the exploration on its first read."""
@@ -235,9 +241,8 @@ def _compile_expr(e):
         v = e.value
         return lambda f: v
     if isinstance(e, ir.RAddrLit):
-        a = e.value
-        tagged = TaggedAddress(a, (("implicit", a),))
-        return lambda f: f.use_address(tagged if f.uses is not None else a)
+        a = _implicit(e.value)
+        return lambda f: f.use_address(a)
     if isinstance(e, ir.RRole):
         i = e.index
         return lambda f: f.roles[i]
@@ -381,21 +386,12 @@ def _compile_stmt(s):
         callee = s.callee
         client_exprs = [_compile_expr(c) for c in s.client_exprs]
         arg_exprs = [_compile_expr(a) for a in s.arg_exprs]
-        forwards = s.forwards_clients
         def st(f):
-            callee_fn = f.functions[callee]
-            if forwards:
-                sender = f.clients[0]
-            elif f.uses is not None:
-                acct = callee_fn.caller_account
-                sender = TaggedAddress(acct, (("implicit", acct),))
-            else:
-                sender = callee_fn.caller_account
-            clients = (sender, *(c(f) for c in client_exprs))
+            clients = tuple(c(f) for c in client_exprs)
             args = tuple(a(f) for a in arg_exprs)
             saved = (f.clients, f.args, f.locs)
             try:
-                callee_fn.invoke(f, clients, args)
+                f.functions[callee].invoke(f, clients, args)
             finally:
                 f.clients, f.args, f.locs = saved
         return st
@@ -403,13 +399,11 @@ def _compile_stmt(s):
 
 
 class _CompiledFunction:
-    __slots__ = ("body", "n_locals", "caller_account")
+    __slots__ = ("body", "n_locals")
 
-    def __init__(self, fn: ir.IRFunction, caller_account: int):
+    def __init__(self, fn: ir.IRFunction):
         self.body = [_compile_stmt(s) for s in fn.body]
         self.n_locals = fn.n_locals
-        # Account used as msg.sender when this caller issues nested calls.
-        self.caller_account = caller_account
 
     def invoke(self, f: _Frame, clients: tuple[int, ...], args: tuple[int, ...]) -> None:
         f.clients = clients
@@ -424,11 +418,10 @@ class _CompiledFunction:
 
 class _CompiledBundle:
     def __init__(self, bundle: ContractBundle):
-        self.accounts = bundle.contract_accounts
-        self.functions: dict[tuple[int, str], _CompiledFunction] = {}
-        for key, fn in bundle.all_functions.items():
-            # Nested calls issued from contract ci have the ci account as sender.
-            self.functions[key] = _CompiledFunction(fn, bundle.contract_accounts[fn.contract_index])
+        # The senders the implicit guards turn away.
+        self.guards = tuple(map(_implicit, (ZERO_ACCOUNT, *bundle.contract_accounts)))
+        self.functions = {key: _CompiledFunction(fn)
+                          for key, fn in bundle.all_functions.items()}
 
 
 def _compiled(bundle: ContractBundle) -> _CompiledBundle:
@@ -457,24 +450,18 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
     ``store``. Returns "revert", "bottom" or the post control state.
 
     A read of a slot the store has no vector for raises NeedChoice. When
-    ``uses`` is a list, address occurrences are tagged with their
-    provenance (client slot, role index, or literal) and every use is
-    logged.
+    ``uses`` is a list, every use is logged with its provenance: clients
+    and roles are tagged here, fixed addresses when they are compiled.
     """
     fn = cb.functions.get((0, action.tx))
     if fn is None:
         raise UnknownFunction(action.tx)
     roles = list(control.roles)
     f = _Frame(roles, list(control.data), slot_of, store, limit, uses, cb.functions)
-    if uses is None:
-        clients = action.clients
-        zero: int = ZERO_ACCOUNT
-        accounts: tuple = cb.accounts
-    else:
+    clients = action.clients
+    if uses is not None:
         clients = tuple(TaggedAddress(c, (("explicit", i),))
-                        for i, c in enumerate(action.clients))
-        zero = TaggedAddress(ZERO_ACCOUNT, (("implicit", ZERO_ACCOUNT),))
-        accounts = tuple(TaggedAddress(a, (("implicit", a),)) for a in cb.accounts)
+                        for i, c in enumerate(clients))
         for i, v in enumerate(roles):
             roles[i] = TaggedAddress(v, (("transient", i),))
     try:
@@ -482,9 +469,7 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
         # account are no-ops; an unrepresented address (the sender included)
         # is a fault.
         sender = f.use_address(clients[0])
-        if sender == f.use_address(zero):
-            return "revert"
-        for acct in accounts:
+        for acct in cb.guards:
             if sender == f.use_address(acct):
                 return "revert"
         if action.tx == "constructor":

@@ -205,6 +205,7 @@ class _FunctionLowering:
         self.v = v
         self.info = info
         self.fn = fn
+        self.this = ir.RAddrLit(ROOT_ACCOUNT + info.index)
         self.client_slot: dict[str, int] = {}
         self.arg_index: dict[str, int] = {}
         self.locals: dict[str, tuple[int, str]] = {}  # name -> (slot, kind)
@@ -243,7 +244,7 @@ class _FunctionLowering:
         if isinstance(e, A.AddressLit):
             return _ADDRESS, ir.RAddrLit(e.value)
         if isinstance(e, A.This):
-            return _ADDRESS, ir.RAddrLit(ROOT_ACCOUNT + self.info.index)
+            return _ADDRESS, self.this
         if isinstance(e, A.MsgSender):
             return _ADDRESS, ir.RClient(0)
         if isinstance(e, A.Name):
@@ -360,27 +361,15 @@ class _FunctionLowering:
             self.locals[s.name] = (slot, kind)
             return ir.SLocal(slot, ir.RNum(0))  # zero-initialized
         if isinstance(s, A.Require):
-            kind, c = self._expr(s.cond)
-            if kind != _NUMERIC:
-                raise _err("type-mismatch", "require needs a boolean condition", s)
-            return ir.SRequire(c)
+            return ir.SRequire(self._cond(s, "require"))
         if isinstance(s, A.Assert):
-            kind, c = self._expr(s.cond)
-            if kind != _NUMERIC:
-                raise _err("type-mismatch", "assert needs a boolean condition", s)
-            return ir.SAssert(c)
+            return ir.SAssert(self._cond(s, "assert"))
         if isinstance(s, A.Return):
             return ir.SReturn()
         if isinstance(s, A.If):
-            kind, c = self._expr(s.cond)
-            if kind != _NUMERIC:
-                raise _err("type-mismatch", "if needs a boolean condition", s)
-            return ir.SIf(c, self._stmts(s.body))
+            return ir.SIf(self._cond(s, "if"), self._stmts(s.body))
         if isinstance(s, A.While):
-            kind, c = self._expr(s.cond)
-            if kind != _NUMERIC:
-                raise _err("type-mismatch", "while needs a boolean condition", s)
-            return ir.SWhile(c, self._stmts(s.body))
+            return ir.SWhile(self._cond(s, "while"), self._stmts(s.body))
         if isinstance(s, A.Assign):
             return self._assign(s)
         if isinstance(s, A.NewAssign):
@@ -388,6 +377,12 @@ class _FunctionLowering:
         if isinstance(s, A.ExprStmt):
             return self._call_stmt(s)
         raise _err("internal", f"unhandled statement {type(s).__name__}", s)
+
+    def _cond(self, s, what: str):
+        kind, c = self._expr(s.cond)
+        if kind != _NUMERIC:
+            raise _err("type-mismatch", f"{what} needs a boolean condition", s)
+        return c
 
     def _assign(self, s: A.Assign):
         if isinstance(s.target, A.Index):
@@ -425,17 +420,15 @@ class _FunctionLowering:
         raise _err("type-mismatch", "contract references are bound with `new`", s)
 
     def _lower_call(self, callee_info: _ContractInfo, fname: str,
-                    args: tuple[A.Expr, ...], node, forwards_clients: bool):
+                    args: tuple[A.Expr, ...], node, sender):
         fn = callee_info.functions.get(fname)
         if fn is None or (fn.is_constructor and fname != "constructor"):
             raise _err("unknown-function",
                        f"{callee_info.decl.name} has no function {fname}", node)
-        want_addr = [p for p in fn.params if p.typ.kind == "address"]
-        want_num = [p for p in fn.params if p.typ.kind in ("uint", "bool")]
         if len(args) != len(fn.params):
             raise _err("arity-mismatch",
                        f"{fname} takes {len(fn.params)} arguments, got {len(args)}", node)
-        client_exprs, arg_exprs = [], []
+        client_exprs, arg_exprs = [sender], []
         for p, a in zip(fn.params, args):
             kind, lowered = self._expr(a)
             if p.typ.kind == "address":
@@ -446,28 +439,26 @@ class _FunctionLowering:
                 if kind != _NUMERIC:
                     raise _err("type-mismatch", f"argument {p.name} must be numeric", node)
                 arg_exprs.append(lowered)
-        assert len(client_exprs) == len(want_addr) and len(arg_exprs) == len(want_num)
-        return ir.SCall((callee_info.index, fname), tuple(client_exprs),
-                        tuple(arg_exprs), forwards_clients)
+        return ir.SCall((callee_info.index, fname), tuple(client_exprs), tuple(arg_exprs))
 
     def _new(self, s: A.NewAssign):
         # Binding was resolved in _bind_instances; runtime effect is the
         # callee constructor body with the creator's account as sender.
         target = self.v.by_name[s.contract]
-        return self._lower_call(target, "constructor", s.callargs, s, forwards_clients=False)
+        return self._lower_call(target, "constructor", s.callargs, s, self.this)
 
     def _call_stmt(self, s: A.ExprStmt):
         e = s.expr
         if isinstance(e, A.Call):
-            # Internal call on the same contract: keep the original clients.
-            return self._lower_call(self.info, e.func, e.callargs, s, forwards_clients=True)
+            # Internal call on the same contract: msg.sender is unchanged.
+            return self._lower_call(self.info, e.func, e.callargs, s, ir.RClient(0))
         if isinstance(e, A.MemberCall):
             kind, _ = self._expr(e.target)
             if not kind.startswith("ref:"):
                 raise _err("type-mismatch", "only contract references can be called", s)
             idx = self._ref_instance(e.target)
             return self._lower_call(self.v.contracts[idx], e.func, e.callargs, s,
-                                    forwards_clients=False)
+                                    self.this)
         raise _err("bad-statement", "only calls may be used as statements", s)
 
 

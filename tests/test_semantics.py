@@ -189,8 +189,10 @@ def test_multi_contract_new_and_cross_call(w8):
     s = init_state(b, range(4))
     s = step(b, s, Action("constructor", (3,), ()), w8)
     assert s.control.data == (0, 5)  # new ran the sub-constructor
+    assert s.control.roles == (1, 0)  # ... with Main's account as msg.sender
     s = step(b, s, Action("poke", (3,), (2,)), w8)
     assert s.control.data == (2, 7)  # cross-contract call bumped the counter
+    assert s.control.roles == (1, 1)  # ... with Main's account as msg.sender
     assert step(b, s, Action("poke", (2,), (1,)), w8) == s  # account 2 is a contract
 
 
@@ -204,8 +206,10 @@ contract Main {
 }
 contract Sub {
     uint count;
-    constructor(uint seed) public { count = seed; }
-    function bump(uint v) public { count = count + v; }
+    address creator;
+    address bumper;
+    constructor(uint seed) public { count = seed; creator = msg.sender; }
+    function bump(uint v) public { count = count + v; bumper = msg.sender; }
 }
 """
 

@@ -1,9 +1,11 @@
-"""Golden CLI output on the auction corpus, pinned byte for byte.
+"""Golden CLI output on the corpus, pinned byte for byte, and the
+cross-checks on its two-contract source.
 
 Two golden files, each a list of cases run through ``msolv.cli.main``
 in-process, with the recorded exit code, stderr and stdout:
 
-* ``verdicts.json``: ``check`` and ``oracle`` runs. Stdout is the verdict
+* ``verdicts.json``: ``check`` and ``oracle`` runs on the auction and the
+  two-contract sources. Stdout is the verdict
   JSON (key order included; ``null`` when a spec does not bind and nothing
   is printed) with ``stats.seconds`` dropped, as the one field that varies
   between runs.
@@ -25,7 +27,13 @@ from pathlib import Path
 
 import pytest
 
+import msolv
+from msolv.checker import check_compositional, global_oracle, replay_trace
 from msolv.cli import main
+from msolv.properties import parse_spec
+from msolv.ptg import (build_ptg, coverage_violations, semantic_pt, semantic_pt_naive,
+                       taint_summary)
+from msolv.semantics import DataDomain, enumerate_actions
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "verdicts.json"
@@ -45,6 +53,9 @@ def _cases() -> list[list[str]]:
     for width in ("1", "2", "3"):
         cases.append(["oracle", "auction.msol", "auction.spec", "--users", "4",
                       "--width", width])
+    cases.append(["check", "two_contracts.msol", "two_contracts.spec", "--width", "1"])
+    cases.append(["oracle", "two_contracts.msol", "two_contracts.spec", "--users", "4",
+                  "--width", "1"])
     return cases
 
 
@@ -103,6 +114,44 @@ def test_golden_static_stage(argv):
 def test_golden_file_covers_every_case():
     assert list(_golden(GOLDEN)) == [tuple(argv) for argv in _cases()]
     assert list(_golden(STATIC_GOLDEN)) == [tuple(argv) for argv in _static_cases()]
+
+
+# ------------------------------------------------ the two-contract source
+#
+# B runs with A's account as msg.sender both when A creates it and when A
+# calls it, so go() from A's owner writes A's own cell in B's map.
+
+W1 = DataDomain(1)
+
+
+@pytest.fixture(scope="module")
+def two():
+    bundle = msolv.load((DATA / "two_contracts.msol").read_text())
+    spec = parse_spec((DATA / "two_contracts.spec").read_text(), bundle.layout)
+    return bundle, spec, build_ptg(taint_summary(bundle))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_two_contracts_ptg_covers_semantics(two, n):
+    bundle, _, ptg = two
+    for act in enumerate_actions(bundle, range(n), W1):
+        assert coverage_violations(ptg, semantic_pt(bundle, n, act, W1)) == [], act
+
+
+def test_two_contracts_semantic_pt_matches_naive(two):
+    bundle, _, _ = two
+    for act in enumerate_actions(bundle, range(3), W1):
+        assert semantic_pt(bundle, 3, act, W1) == semantic_pt_naive(bundle, 3, act, W1), act
+
+
+def test_two_contracts_counterexamples_replay(two):
+    bundle, spec, ptg = two
+    v = check_compositional(bundle, ptg, spec.invariant, W1)
+    assert v.result == "cex_invariant"
+    assert replay_trace(bundle, v.trace, W1, theta=spec.invariant)
+    v = global_oracle(bundle, 4, spec.properties[0], W1)
+    assert v.result == "cex_property"
+    assert replay_trace(bundle, v.trace, W1)
 
 
 def _record(path: Path, run, cases: list[list[str]]) -> None:
