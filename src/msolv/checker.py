@@ -123,8 +123,9 @@ class _LocalEngine:
     sets at its control; only the initial class and frozen classes carry
     explicit per-slot value tuples. ``parents`` maps every recorded class to
     the link ``(pre_key, action_index, leaf)`` that first reached it, and the
-    initial class to None. The allowed sets are enumerated as controls are
-    reached, the initial one included, all under the time budget.
+    initial class to None. The actions are listed when the search starts
+    and the allowed sets as controls are reached, the initial one included,
+    all under the time budget.
     """
 
     def __init__(self, bundle: ContractBundle, theta: SplitInvariant,
@@ -134,7 +135,7 @@ class _LocalEngine:
         self.theta = theta
         self.ids = tuple(sorted(addresses))
         self.domain = domain
-        self.actions = list(enumerate_actions(bundle, self.ids, domain))
+        self.actions: list[Action] = []
         self.budget_states = budget_states
         self._allowed: dict[ControlState, tuple] = {}
         self.transitions = 0
@@ -253,6 +254,11 @@ class _LocalEngine:
             return Verdict("exhausted", self._stats(), reason=str(e))
 
     def _search(self, phi: GuardedProperty | None) -> Verdict:
+        # 2^width actions per numeric argument, so the budget applies here too.
+        for action in enumerate_actions(self.bundle, self.ids, self.domain):
+            if time.monotonic() > self.deadline:
+                raise BudgetExceeded("time budget exceeded")
+            self.actions.append(action)
         zeros = (0,) * self.bundle.n_maps
         control = ControlState((0,) * self.bundle.n_roles, (0,) * self.bundle.n_data, 0)
         vectors, allowed = self._allowed_at(control)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -129,13 +130,17 @@ def test_report_renderings(capsys):
 def test_time_budget_bounds_allowed_set_enumeration(capsys):
     # At width 18 each user's allowed set has 2^18 candidate vectors; the
     # time budget must stop that enumeration, the initial control's too.
+    # So must the listing of the 2^18 actions per bid amount.
+    t0 = time.monotonic()
     code, out, _ = run(capsys, "check", AUCTION, SPEC, "--width", "18",
                        "--budget-secs", "0.5")
+    wall = time.monotonic() - t0
     verdict = json.loads(out)["compositionality"]
     assert code == 2
     assert verdict["result"] == "exhausted"
     assert verdict["reason"] == "time budget exceeded"
     assert verdict["stats"]["seconds"] < 1.5
+    assert wall < 1.5
 
 
 def test_usage_error_exit_two(capsys):
