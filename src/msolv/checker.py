@@ -25,8 +25,8 @@ from .properties import (GuardedProperty, SplitInvariant, check_universal,
                          eval_guarded, eval_split)
 from .ptg import PtGraph
 from .semantics import (BOTTOM, Action, BundleState, ControlState, DataDomain,
-                        Leaf, UserRecord, enumerate_actions, explore, init_state,
-                        step)
+                        Leaf, UserRecord, apply_writes, enumerate_actions, explore,
+                        init_state, step)
 from .validator import ContractBundle
 
 DEFAULT_BUDGET_STATES = 10_000_000
@@ -99,22 +99,6 @@ def verdict_to_json(v: Verdict) -> dict:
 # --------------------------------------------------------------------------
 # the local-bundle class engine
 # --------------------------------------------------------------------------
-
-def _apply_writes(vec: tuple[int, ...], writes: dict[int, int] | None) -> tuple[int, ...]:
-    if not writes:
-        return vec
-    out = list(vec)
-    for c, v in writes.items():
-        out[c] = v
-    return tuple(out)
-
-
-def _writes_by_slot(leaf: Leaf) -> dict[int, dict[int, int]]:
-    writes: dict[int, dict[int, int]] = {}
-    for s, c, v in leaf.write_cells:
-        writes.setdefault(s, {})[c] = v
-    return writes
-
 
 class _LocalEngine:
     """Breadth-first search over product classes ``(control, domains)``.
@@ -200,8 +184,7 @@ class _LocalEngine:
                 if leaf.outcome == "revert" and pre_ok:
                     yield "succ", ai, leaf, (post_control, None), None
                     continue
-                writes = _writes_by_slot(leaf)
-                assign = dict(leaf.assignment)
+                writes, assign = leaf.writes, leaf.assignment
                 allowed = self._allowed_at(post_control)[1]
                 post_domains = []
                 bad: dict[int, tuple] = {}
@@ -209,9 +192,9 @@ class _LocalEngine:
                 for slot, dom in enumerate(domains):
                     w = writes.get(slot)
                     if slot in assign:
-                        post = (_apply_writes(assign[slot], w),)
+                        post = (apply_writes(assign[slot], w),)
                     elif w:
-                        post = tuple(sorted({_apply_writes(v, w) for v in dom}))
+                        post = tuple(sorted({apply_writes(v, w) for v in dom}))
                     else:
                         post = dom
                     post_domains.append(post)
@@ -350,20 +333,19 @@ class _LocalEngine:
         image under the leaf's writes is ``target[slot]`` (given on a link
         into a frozen class) or else, unless the leaf is an error, one that
         the invariant admits after the step."""
-        assign = dict(leaf.assignment)
-        writes = _writes_by_slot(leaf)
+        assign = leaf.assignment
         out = []
         for slot, dom in enumerate(self._domains(pre_key)):
-            w = writes.get(slot)
+            w = leaf.writes.get(slot)
             if slot in assign:
                 vec = assign[slot]
             elif target is not None:
-                vec = next(v for v in dom if _apply_writes(v, w) == target[slot])
+                vec = next(v for v in dom if apply_writes(v, w) == target[slot])
             elif leaf.outcome == "bottom":
                 vec = dom[0]
             else:
                 vec = next(v for v in dom if self._admits(
-                    leaf.control_after, slot, _apply_writes(v, w)))
+                    leaf.control_after, slot, apply_writes(v, w)))
             out.append(vec)
         return out
 

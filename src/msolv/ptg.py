@@ -275,16 +275,8 @@ def _leaf_post_differs(a: Leaf, b: Leaf, skip_slot: int, merged: dict) -> bool:
     differs for a suitable choice of the map vectors neither path read."""
     if a.control_after != b.control_after:
         return True
-    wa: dict[int, dict[int, int]] = {}
-    wb: dict[int, dict[int, int]] = {}
-    for s, c, v in a.write_cells:
-        if s != skip_slot:
-            wa.setdefault(s, {})[c] = v
-    for s, c, v in b.write_cells:
-        if s != skip_slot:
-            wb.setdefault(s, {})[c] = v
-    for s in set(wa) | set(wb):
-        da, db = wa.get(s, {}), wb.get(s, {})
+    for s in (a.writes.keys() | b.writes.keys()) - {skip_slot}:
+        da, db = a.writes.get(s, {}), b.writes.get(s, {})
         base = merged.get(s)
         for c in set(da) | set(db):
             if base is not None:
@@ -321,27 +313,25 @@ def semantic_pt(bundle: ContractBundle, n: int, action: Action,
         work += len(leaves)
         if work > budget:
             raise BudgetExceeded(f"semantic_pt budget of {budget} paths exceeded")
-        use_maps = [dict(leaf.uses) for leaf in leaves]
         read_slots: set[int] = set()
-        for leaf, uses in zip(leaves, use_maps):
-            assign = dict(leaf.assignment)
-            read_slots.update(assign)
+        for leaf in leaves:
+            read_slots.update(leaf.assignment)
             # influenced-by: a persistent write some base vector can observe
-            for slot, cell, val in leaf.write_cells:
-                base = assign.get(slot)
-                if base is None or base[cell] != val:
-                    pt.attribute(ids[slot], uses.get(ids[slot], ()))
+            for slot, cells in leaf.writes.items():
+                base = leaf.assignment.get(slot)
+                if base is None or any(base[c] != v for c, v in cells.items()):
+                    pt.attribute(ids[slot], leaf.uses.get(ids[slot], ()))
             # influence via readdressing: any use of the old address faults
             if leaf.outcome != "bottom":
-                for a, origins in uses.items():
+                for a, origins in leaf.uses.items():
                     if a in id_set:
                         pt.attribute(a, origins)
         # influence via map variants: pair executions whose read sets agree
         # everywhere except the varied slot (a leaf that never read the slot
         # stands for every value of it)
         for slot in read_slots:
-            for (x, ux), (y, uy) in itertools.combinations(zip(leaves, use_maps), 2):
-                ax, ay = dict(x.assignment), dict(y.assignment)
+            for x, y in itertools.combinations(leaves, 2):
+                ax, ay = x.assignment, y.assignment
                 if any(ax[s] != ay[s] for s in ax.keys() & ay.keys() if s != slot):
                     continue
                 xi, yi = ax.get(slot), ay.get(slot)
@@ -351,8 +341,8 @@ def semantic_pt(bundle: ContractBundle, n: int, action: Action,
                     continue  # neither read it: identical executions
                 merged = {s: v for s, v in {**ax, **ay}.items() if s != slot}
                 if _leaf_post_differs(x, y, slot, merged):
-                    origins = set(ux.get(ids[slot], ())) | set(uy.get(ids[slot], ()))
-                    pt.attribute(ids[slot], origins)
+                    pt.attribute(ids[slot], x.uses.get(ids[slot], set())
+                                 | y.uses.get(ids[slot], set()))
                     break
     return pt
 
@@ -372,11 +362,11 @@ def semantic_pt_naive(bundle: ContractBundle, n: int, action: Action,
     def users_of(assign: tuple) -> tuple[UserRecord, ...]:
         return tuple(UserRecord(ids[i], assign[i]) for i in range(n))
 
-    def uses_of(state: BundleState) -> dict[int, tuple]:
+    def uses_of(state: BundleState) -> dict[int, set]:
         (leaf,) = explore(bundle, state.control, tuple(u.id for u in state.users),
                           [(u.map_vals,) for u in state.users], action, domain,
                           log_uses=True)
-        return dict(leaf.uses)
+        return leaf.uses
 
     for control in _controls(bundle, n, domain):
         for assign in itertools.product(vectors, repeat=n):

@@ -187,26 +187,37 @@ def _implicit(a: int) -> TaggedAddress:
 
 
 class _Store:
-    """Per-slot map vectors plus the cells a transaction wrote. A slot with
-    no vector yet forks the exploration on its first read."""
+    """Per-slot map vectors plus the cells a transaction wrote, as
+    ``{slot: {cell: value}}``. A slot with no vector yet forks the
+    exploration on its first read."""
 
     __slots__ = ("base", "writes")
 
     def __init__(self, base: dict[int, tuple[int, ...]]):
         self.base = base
-        self.writes: dict[tuple[int, int], int] = {}
+        self.writes: dict[int, dict[int, int]] = {}
 
     def read(self, slot: int, cell: int) -> int:
-        w = self.writes.get((slot, cell))
-        if w is not None:
-            return w
+        cells = self.writes.get(slot)
+        if cells is not None and cell in cells:
+            return cells[cell]
         base = self.base.get(slot)
         if base is None:
             raise NeedChoice(slot)
         return base[cell]
 
     def write(self, slot: int, cell: int, value: int) -> None:
-        self.writes[(slot, cell)] = value
+        self.writes.setdefault(slot, {})[cell] = value
+
+
+def apply_writes(vec: tuple[int, ...], cells: dict[int, int] | None) -> tuple[int, ...]:
+    """``vec`` with the cells one slot's writes overwrote."""
+    if not cells:
+        return vec
+    out = list(vec)
+    for c, v in cells.items():
+        out[c] = v
+    return tuple(out)
 
 
 class _Frame:
@@ -228,7 +239,7 @@ class _Frame:
 
     def use_address(self, a: int) -> int:
         if self.uses is not None:
-            self.uses.append((int(a), getattr(a, "origins", ())))
+            self.uses.setdefault(int(a), set()).update(getattr(a, "origins", ()))
         if a not in self.slot_of:
             raise _Fault
         return a
@@ -445,12 +456,13 @@ def _slot_of(ids: tuple[int, ...]) -> dict[int, int]:
 
 def _run_transaction(cb: _CompiledBundle, control: ControlState,
                      slot_of: dict[int, int], store: _Store, action: Action,
-                     limit: int, uses) -> ControlState | str:
-    """Execute one transaction from ``control``, leaving its map writes in
-    ``store``. Returns "revert", "bottom" or the post control state.
+                     limit: int, uses) -> tuple[str, ControlState | None]:
+    """Execute one transaction from ``control``. Returns ``(outcome,
+    control_after)`` as :class:`Leaf` has them and leaves in ``store`` the
+    writes of an "ok" run, none otherwise.
 
     A read of a slot the store has no vector for raises NeedChoice. When
-    ``uses`` is a list, every use is logged with its provenance: clients
+    ``uses`` is a dict, every use is logged with its provenance: clients
     and roles are tagged here, fixed addresses when they are compiled.
     """
     fn = cb.functions.get((0, action.tx))
@@ -471,21 +483,23 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
         sender = f.use_address(clients[0])
         for acct in cb.guards:
             if sender == f.use_address(acct):
-                return "revert"
+                return "revert", control
         if action.tx == "constructor":
             if control.ctor_done:
-                return "revert"  # the constructor runs once and only once
+                return "revert", control  # the constructor runs once and only once
             ctor = 1
         elif not control.ctor_done:
-            return "revert"  # nothing is callable before construction
+            return "revert", control  # nothing is callable before construction
         else:
             ctor = control.ctor_done
         fn.invoke(f, clients, action.args)
     except _Revert:
-        return "revert"
+        store.writes.clear()
+        return "revert", control
     except _Fault:
-        return "bottom"
-    return ControlState(tuple(map(int, roles)), tuple(f.data), ctor)
+        store.writes.clear()
+        return "bottom", None
+    return "ok", ControlState(tuple(map(int, roles)), tuple(f.data), ctor)
 
 
 def step(bundle: ContractBundle, state: BundleState, action: Action,
@@ -494,17 +508,17 @@ def step(bundle: ContractBundle, state: BundleState, action: Action,
     if state.is_bottom:
         raise ValueError("cannot step from the error state")
     store = _Store({i: u.map_vals for i, u in enumerate(state.users)})
-    post = _run_transaction(_compiled(bundle), state.control,
-                            _slot_of(tuple(u.id for u in state.users)), store,
-                            action, domain.limit, None)
-    if post == "revert":
+    outcome, post = _run_transaction(_compiled(bundle), state.control,
+                                     _slot_of(tuple(u.id for u in state.users)),
+                                     store, action, domain.limit, None)
+    if outcome == "revert":
         return state
-    if post == "bottom":
+    if outcome == "bottom":
         return BundleState(BOTTOM, state.users)
     users = list(state.users)
-    for (slot, cell), v in store.writes.items():
+    for slot, cells in store.writes.items():
         u = users[slot]
-        users[slot] = UserRecord(u.id, u.map_vals[:cell] + (v,) + u.map_vals[cell + 1:])
+        users[slot] = UserRecord(u.id, apply_writes(u.map_vals, cells))
     return BundleState(post, tuple(users))
 
 
@@ -512,33 +526,23 @@ def step(bundle: ContractBundle, state: BundleState, action: Action,
 # choice-mode exploration: one transaction over per-user value domains
 # --------------------------------------------------------------------------
 
-def _canon_uses(uses: list | None) -> tuple:
-    if not uses:
-        return ()
-    agg: dict[int, set] = {}
-    for v, origins in uses:
-        agg.setdefault(v, set()).update(origins)
-    return tuple(sorted((v, tuple(sorted(o))) for v, o in agg.items()))
-
-
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     """One execution path of an action from a control state.
 
     ``assignment`` fixes the map vectors of the user slots the execution
-    read; ``outcome`` is "ok", "revert", or "bottom". ``control_after`` is
-    the post control state (the pre control for "revert", None for
-    "bottom") and ``write_cells`` lists the user cells an "ok" path
-    overwrote. ``uses`` pairs every address value whose representation the
-    run required with the provenance of its occurrences (logged only when
-    requested).
+    read, ``{slot: vector}``; ``outcome`` is "ok", "revert", or "bottom".
+    ``control_after`` is the post control state (the pre control for
+    "revert", None for "bottom") and ``writes`` the user cells an "ok" path
+    overwrote, ``{slot: {cell: value}}``. ``uses`` maps every address value
+    whose representation the run required to the provenance of its
+    occurrences (logged only when requested, else empty).
     """
 
-    assignment: tuple[tuple[int, tuple[int, ...]], ...]
+    assignment: dict[int, tuple[int, ...]]
     outcome: str
     control_after: ControlState | None
-    write_cells: tuple[tuple[int, int, int], ...]  # (slot, cell, value)
-    uses: tuple = ()
+    writes: dict[int, dict[int, int]]
+    uses: dict[int, set]
 
 
 def explore(bundle: ContractBundle, control: ControlState, ids: tuple[int, ...],
@@ -553,25 +557,15 @@ def explore(bundle: ContractBundle, control: ControlState, ids: tuple[int, ...],
 
     def run(assignment: dict[int, tuple[int, ...]]):
         store = _Store(assignment)
-        uses = [] if log_uses else None
+        uses = {} if log_uses else None
         try:
-            post = _run_transaction(cb, control, slot_of, store, action,
-                                    domain.limit, uses)
+            outcome, post = _run_transaction(cb, control, slot_of, store, action,
+                                             domain.limit, uses)
         except NeedChoice as nc:
             for v in domains[nc.slot]:
                 run({**assignment, nc.slot: v})
             return
-        writes = ()
-        if post == "revert":
-            outcome, post = "revert", control
-        elif post == "bottom":
-            outcome, post = "bottom", None
-        else:
-            outcome = "ok"
-            writes = tuple(sorted((slot, cell, val)
-                                  for (slot, cell), val in store.writes.items()))
-        leaves.append(Leaf(tuple(sorted(assignment.items())), outcome, post,
-                           writes, _canon_uses(uses)))
+        leaves.append(Leaf(assignment, outcome, post, store.writes, uses or {}))
 
     run({})
     return leaves

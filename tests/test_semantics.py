@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import msolv
 from msolv.errors import ResourceExhausted, TooFewUsers, UnknownFunction
 from msolv.semantics import (BOTTOM, Action, BundleState, ControlState,
-                             DataDomain, UserRecord, enumerate_actions, explore,
-                             init_state, step, swap_addresses)
+                             DataDomain, UserRecord, apply_writes, enumerate_actions,
+                             explore, init_state, step, swap_addresses)
 
 from conftest import read
 
@@ -297,13 +297,11 @@ def test_explore_over_singleton_domains_agrees_with_step(auction, w2):
             outcomes.add(leaf.outcome)
             if leaf.outcome == "revert":
                 assert post is state
-                assert leaf.control_after == control and leaf.write_cells == ()
+                assert leaf.control_after == control and leaf.writes == {}
             elif leaf.outcome == "bottom":
                 assert post == BundleState(BOTTOM, state.users)
             else:
-                maps = [list(u.map_vals) for u in state.users]
-                for slot, cell, v in leaf.write_cells:
-                    maps[slot][cell] = v
                 assert post == BundleState(leaf.control_after, tuple(
-                    UserRecord(u.id, tuple(m)) for u, m in zip(state.users, maps)))
+                    UserRecord(u.id, apply_writes(u.map_vals, leaf.writes.get(slot)))
+                    for slot, u in enumerate(state.users)))
     assert outcomes == {"ok", "revert", "bottom"}
