@@ -16,10 +16,11 @@ first violation is reported, give minimal and deterministic traces.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, PreconditionUnmet
+from .errors import BudgetExceeded, InputError, PreconditionUnmet
 from .localization import allowed_vectors, rule_neighbourhood
 from .properties import (GuardedProperty, SplitInvariant, check_universal,
                          eval_guarded, eval_split)
@@ -97,6 +98,30 @@ def verdict_to_json(v: Verdict) -> dict:
 
 
 # --------------------------------------------------------------------------
+# the time budget
+# --------------------------------------------------------------------------
+
+def _clock(budget_secs: float) -> tuple[float, float]:
+    """The start of a search and the deadline its time budget sets."""
+    if math.isnan(budget_secs):
+        raise InputError("the time budget must be a number of seconds, got nan")
+    started = time.monotonic()
+    return started, started + budget_secs
+
+
+def _list_actions(bundle: ContractBundle, addresses, domain: DataDomain,
+                  deadline: float) -> list[Action]:
+    """Every action over ``addresses``, listed under the time budget: there
+    are 2^width of them per numeric argument."""
+    actions = []
+    for action in enumerate_actions(bundle, addresses, domain):
+        if time.monotonic() > deadline:
+            raise BudgetExceeded("time budget exceeded")
+        actions.append(action)
+    return actions
+
+
+# --------------------------------------------------------------------------
 # the local-bundle class engine
 # --------------------------------------------------------------------------
 
@@ -123,8 +148,7 @@ class _LocalEngine:
         self.budget_states = budget_states
         self._allowed: dict[ControlState, tuple] = {}
         self.transitions = 0
-        self.started = time.monotonic()
-        self.deadline = self.started + budget_secs
+        self.started, self.deadline = _clock(budget_secs)
         self.init = None
         self._init_bad_slot = None
         self.parents: dict[tuple, tuple | None] = {}
@@ -237,11 +261,7 @@ class _LocalEngine:
             return Verdict("exhausted", self._stats(), reason=str(e))
 
     def _search(self, phi: GuardedProperty | None) -> Verdict:
-        # 2^width actions per numeric argument, so the budget applies here too.
-        for action in enumerate_actions(self.bundle, self.ids, self.domain):
-            if time.monotonic() > self.deadline:
-                raise BudgetExceeded("time budget exceeded")
-            self.actions.append(action)
+        self.actions = _list_actions(self.bundle, self.ids, self.domain, self.deadline)
         zeros = (0,) * self.bundle.n_maps
         control = ControlState((0,) * self.bundle.n_roles, (0,) * self.bundle.n_data, 0)
         vectors, allowed = self._allowed_at(control)
@@ -397,9 +417,8 @@ def global_oracle(bundle: ContractBundle, n: int, phi: GuardedProperty,
     """Ground truth at a fixed network size: exhaustive breadth-first search
     of the concrete bundle over addresses 0..n-1, checking the property at
     every reachable state."""
-    started = time.monotonic()
+    started, deadline = _clock(budget_secs)
     s0 = init_state(bundle, range(n))
-    actions = list(enumerate_actions(bundle, range(n), domain))
     parents: dict = {s0: None}
     transitions = 0
 
@@ -414,6 +433,10 @@ def global_oracle(bundle: ContractBundle, n: int, phi: GuardedProperty,
             acts.append(act)
         return Trace(tuple(reversed(states)), tuple(reversed(acts)))
 
+    try:
+        actions = _list_actions(bundle, range(n), domain, deadline)
+    except BudgetExceeded as e:
+        return Verdict("exhausted", stats(), reason=str(e))
     w = check_universal(phi, s0, domain)
     if w is not True:
         return Verdict("cex_property", stats(), trace=trace_to(s0),
@@ -424,7 +447,7 @@ def global_oracle(bundle: ContractBundle, n: int, phi: GuardedProperty,
         for st in frontier:
             if len(parents) > budget_states:
                 return Verdict("exhausted", stats(), reason="state budget exceeded")
-            if time.monotonic() - started > budget_secs:
+            if time.monotonic() > deadline:
                 return Verdict("exhausted", stats(), reason="time budget exceeded")
             for act in actions:
                 post = step(bundle, st, act, domain)

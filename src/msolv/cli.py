@@ -79,14 +79,20 @@ def _build_argparser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_bundle(path: str):
+def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return validate(parse(fh.read()))
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise InputError(f"{path}: not UTF-8: {e}") from None
+
+
+def _load_bundle(path: str):
+    return validate(parse(_read_text(path)))
 
 
 def _load_spec(path: str, layout):
-    with open(path, encoding="utf-8") as fh:
-        return parse_spec(fh.read(), layout)
+    return parse_spec(_read_text(path), layout)
 
 
 def _print_json(payload: dict) -> None:
@@ -175,11 +181,10 @@ def _load_actions(path: str, bundle, domain: DataDomain) -> list[Action]:
     """A simulate trace: a JSON list of {tx, clients, args} objects whose
     client and argument counts match the transaction's signature and whose
     arguments lie in the data domain."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as e:  # malformed JSON or text that is not UTF-8
-            raise InputError(f"{path}: not JSON: {e}") from None
+    try:
+        raw = json.loads(_read_text(path))
+    except ValueError as e:
+        raise InputError(f"{path}: not JSON: {e}") from None
     if not isinstance(raw, list):
         raise InputError(f"{path}: expected a JSON list of actions")
     actions = []
@@ -273,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except OSError as e:
         print(f"msolv: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("msolv: input nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -44,8 +44,9 @@ class TooFewUsers(MsolvError):
 
 
 class InputError(MsolvError):
-    """Malformed input other than source or spec text: a data width out of
-    range, or a simulate trace that is not a list of declared actions."""
+    """Malformed input other than source or spec syntax: a data width out of
+    range, a time budget that is NaN, a file that is not UTF-8, or a
+    simulate trace that is not a list of declared actions."""
 
 
 class SpecSyntaxError(MsolvError):
