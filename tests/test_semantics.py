@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 
 import pytest
@@ -305,3 +306,46 @@ def test_explore_over_singleton_domains_agrees_with_step(auction, w2):
                     UserRecord(u.id, apply_writes(u.map_vals, leaf.writes.get(slot)))
                     for slot, u in enumerate(state.users)))
     assert outcomes == {"ok", "revert", "bottom"}
+
+
+def test_explore_over_full_domains_agrees_with_step_on_every_member(auction, w2):
+    """A leaf stands for every state that holds its assignment in the slots
+    it read and any vector in the others: step gives each such state the
+    leaf's outcome, its control and the writes' image of every user. The
+    leaves share the states out between them, each to exactly one leaf."""
+    rng = random.Random(5)
+    ids = (0, 1, 2, 3)
+    vectors = tuple(itertools.product(w2.values(), repeat=auction.n_maps))
+    total = len(vectors) ** len(ids)
+    outcomes, forked, unread = set(), 0, 0
+    for _ in range(6):
+        control = ControlState((rng.randrange(len(ids) + 1),),
+                               tuple(rng.randrange(w2.limit) for _ in range(3)),
+                               rng.randrange(2))
+        for action in enumerate_actions(auction, ids, w2):
+            leaves = explore(auction, control, ids, [vectors] * len(ids), action, w2)
+            forked += len(leaves) > 1
+            members = set()
+            for leaf in leaves:
+                outcomes.add(leaf.outcome)
+                free = [s for s in range(len(ids)) if s not in leaf.assignment]
+                unread += bool(free)
+                for choice in itertools.product(vectors, repeat=len(free)):
+                    vecs = {**leaf.assignment, **dict(zip(free, choice))}
+                    state = BundleState(control, tuple(
+                        UserRecord(a, vecs[s]) for s, a in enumerate(ids)))
+                    members.add(state)
+                    post = step(auction, state, action, w2)
+                    if leaf.outcome == "revert":
+                        assert post is state and leaf.control_after == control
+                    elif leaf.outcome == "bottom":
+                        assert post == BundleState(BOTTOM, state.users)
+                    else:
+                        assert post == BundleState(leaf.control_after, tuple(
+                            UserRecord(u.id, apply_writes(u.map_vals, leaf.writes.get(s)))
+                            for s, u in enumerate(state.users)))
+            assert len(members) == total
+            assert sum(len(vectors) ** (len(ids) - len(leaf.assignment))
+                       for leaf in leaves) == total
+    assert outcomes == {"ok", "revert", "bottom"}
+    assert forked and unread
