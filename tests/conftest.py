@@ -27,6 +27,11 @@ def auction_plain():
 
 
 @pytest.fixture(scope="session")
+def relay():
+    return msolv.load(read("relay.msol"))
+
+
+@pytest.fixture(scope="session")
 def auction_ptg(auction):
     return build_ptg(taint_summary(auction))
 

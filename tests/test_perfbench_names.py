@@ -1,15 +1,18 @@
-"""The msolv names the perfbench harness relies on.
+"""The msolv names the perfbench harness relies on, and the output of its
+participation workload.
 
 ``perfbench`` wraps msolv functions by module and name and calls the
 package API directly, so a rename in ``src/`` would otherwise surface only
 when the benchmark runs. This loads the harness modules as they are and
-checks that every such name still exists.
+checks that every such name still exists, and that the participation job
+prints what ``perfbench/expected/`` holds.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,12 @@ def test_package_name_exists(name):
 
 def test_cli_main_is_callable():
     assert callable(msolv.cli.main)
+
+
+def test_participation_job_matches_expected(capsys):
+    # semantic_pt on all 55 auction actions at N=5, width 2, compared in the
+    # compact form perfbench/run.py compares.
+    assert _load("job")._participation(0) == 0
+    rows = json.loads(capsys.readouterr().out)
+    want = (PERFBENCH / "expected" / "participation-n5-w2.json").read_text()
+    assert json.dumps(rows, separators=(",", ":")) + "\n" == want

@@ -130,6 +130,24 @@ def test_engine_agrees_with_reference_search(auction_plain, inv_src, prop_src):
                                      spec.properties[0], D1)
 
 
+# Invariants over the relay source (tests/data/relay.msol) small enough for
+# the literal search, each paired with a guarded property.
+RELAY_POOL = [
+    ("(invariant (else (= (map 0 sent) 0)))",
+     "(property (k 1) (guard-lit 0 slot 0) (xi (= (map 0 credit) 0)))"),
+    ("(invariant (else (= (map 0 sent) 0)))",
+     "(property (k 1) (guard-role owner slot 0) (xi (= (map 0 sent) 0)))"),
+    ("(invariant (role owner (= (map 0 credit) 0)) (else (= (map 0 credit) (map 0 sent))))",
+     "(property (k 1) (guard-lit 0 slot 0) (xi (= (map 0 credit) 0)))"),
+]
+
+
+@pytest.mark.parametrize("inv_src, prop_src", RELAY_POOL)
+def test_engine_agrees_with_reference_search_on_relay(relay, inv_src, prop_src):
+    spec = parse_spec(inv_src + prop_src, relay.layout)
+    _assert_engine_matches_reference(relay, spec.invariant, spec.properties[0], D1)
+
+
 def test_engine_admits_values_wider_than_the_domain():
     # The literal 3 does not fit in one bit, yet the invariant admits it, so
     # the post-state is havocked rather than frozen, and its control counts

@@ -1,11 +1,11 @@
 """Golden CLI output on the corpus, pinned byte for byte, and the
-cross-checks on its two-contract source.
+cross-checks on its two-contract and relay sources.
 
 Two golden files, each a list of cases run through ``msolv.cli.main``
 in-process, with the recorded exit code, stderr and stdout:
 
-* ``verdicts.json``: ``check`` and ``oracle`` runs on the auction and the
-  two-contract sources. Stdout is the verdict
+* ``verdicts.json``: ``check`` and ``oracle`` runs on the auction,
+  two-contract and relay sources. Stdout is the verdict
   JSON (key order included; ``null`` when a spec does not bind and nothing
   is printed) with ``stats.seconds`` dropped, as the one field that varies
   between runs.
@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 import msolv
-from msolv.checker import check_compositional, global_oracle, replay_trace
+from msolv.checker import check_compositional, check_safety, global_oracle, replay_trace
 from msolv.cli import main
 from msolv.properties import parse_spec
 from msolv.ptg import (build_ptg, coverage_violations, semantic_pt, semantic_pt_naive,
@@ -56,6 +56,9 @@ def _cases() -> list[list[str]]:
     cases.append(["check", "two_contracts.msol", "two_contracts.spec", "--width", "1"])
     cases.append(["oracle", "two_contracts.msol", "two_contracts.spec", "--users", "4",
                   "--width", "1"])
+    for width in ("1", "2"):
+        cases.append(["check", "relay.msol", "relay.spec", "--width", width])
+    cases.append(["oracle", "relay.msol", "relay.spec", "--users", "4", "--width", "1"])
     return cases
 
 
@@ -67,6 +70,11 @@ def _static_cases() -> list[list[str]]:
         cases.append(["ptg", source])
         cases.append(["ptg", source, "--dot"])
         cases.extend(["neighbourhood", source, f"{spec}.spec"] for spec in SPECS)
+    for name in ("two_contracts", "relay"):
+        source = f"{name}.msol"
+        cases.append(["ptg", source])
+        cases.append(["ptg", source, "--dot"])
+        cases.append(["neighbourhood", source, f"{name}.spec"])
     return cases
 
 
@@ -152,6 +160,49 @@ def test_two_contracts_counterexamples_replay(two):
     v = global_oracle(bundle, 4, spec.properties[0], W1)
     assert v.result == "cex_property"
     assert replay_trace(bundle, v.trace, W1)
+
+
+# ------------------------------------------------ the relay source
+#
+# An address local, an internal call with an address argument, `if`, `&&`,
+# `||`, `*`, `return`, a bounded `while`, an `assert` that a two-bit domain
+# breaks, and map cells read after a write in the same transaction.
+
+W2 = DataDomain(2)
+
+
+@pytest.fixture(scope="module")
+def relay_case():
+    bundle = msolv.load((DATA / "relay.msol").read_text())
+    spec = parse_spec((DATA / "relay.spec").read_text(), bundle.layout)
+    return bundle, spec, build_ptg(taint_summary(bundle))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_relay_ptg_covers_semantics(relay_case, n):
+    bundle, _, ptg = relay_case
+    for act in enumerate_actions(bundle, range(n), W1):
+        assert coverage_violations(ptg, semantic_pt(bundle, n, act, W1)) == [], act
+
+
+def test_relay_semantic_pt_matches_naive(relay_case):
+    bundle, _, _ = relay_case
+    for act in enumerate_actions(bundle, range(3), W1):
+        assert semantic_pt(bundle, 3, act, W1) == semantic_pt_naive(bundle, 3, act, W1), act
+
+
+def test_relay_counterexamples_replay(relay_case):
+    bundle, spec, ptg = relay_case
+    one_holder = spec.properties[1]
+    v = check_safety(bundle, ptg, spec.invariant, one_holder, W1)
+    assert v.result == "cex_property"
+    assert replay_trace(bundle, v.trace, W1, theta=spec.invariant)
+    v = check_compositional(bundle, ptg, spec.invariant, W2)
+    assert v.result == "cex_invariant"
+    assert replay_trace(bundle, v.trace, W2, theta=spec.invariant)
+    v = global_oracle(bundle, 3, spec.properties[0], W2)  # spin(2) fails its assert
+    assert (v.result, v.reason) == ("cex_property", "error state reachable")
+    assert replay_trace(bundle, v.trace, W2)
 
 
 def _record(path: Path, run, cases: list[list[str]]) -> None:
