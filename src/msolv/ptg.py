@@ -4,7 +4,9 @@ brute-force semantic participation oracle used to test the over-approximation.
 The taint side is purely syntactic (per-function, flow- and path-insensitive
 over the lowered IR). The semantic side enumerates witness states and
 single-user variants and compares transition outcomes; it shares the
-interpreter with the semantics module but nothing with the taint walk.
+interpreter with the semantics module but no code with the taint walk. Both
+sides label participation alike: "explicit" (a client slot), "transient" (a
+role) and "implicit" (a literal address).
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from . import ast_nodes as A
 from . import ir
 from .errors import BudgetExceeded
 from .semantics import (Action, BundleState, ControlState, DataDomain, Leaf,
-                        UserRecord, explore, step)
+                        UserRecord, apply_writes, explore, step)
 from .validator import ContractBundle, ZERO_ACCOUNT
 
 SC = "sc"
@@ -89,7 +92,9 @@ class PtGraph:
 # taint analysis
 # --------------------------------------------------------------------------
 
-_Origin = tuple[str, int]  # ("client", slot) | ("role", idx) | ("lit", addr)
+# ("explicit", client slot) | ("transient", role index) | ("implicit", address),
+# the provenance tags the interpreter puts on a TaggedAddress
+_Origin = tuple[str, int]
 
 
 class _FnTaint:
@@ -97,14 +102,11 @@ class _FnTaint:
         self.fn = fn
         self.local_origins: dict[int, set[_Origin]] = {}
         self.role_writes: dict[int, set[_Origin]] = {}  # within-function flows
-        self.sink_clients: set[int] = set()             # this fn's client slots
-        self.sink_roles: set[int] = set()
-        self.sink_lits: set[int] = set()
+        self.sinks: set[_Origin] = set()  # explicit ones name this fn's slots
 
     def size(self) -> tuple[int, ...]:
         """Grows whenever the fixpoint iteration learns something."""
-        return (len(self.sink_clients), len(self.sink_roles), len(self.sink_lits),
-                sum(map(len, self.local_origins.values())),
+        return (len(self.sinks), sum(map(len, self.local_origins.values())),
                 sum(map(len, self.role_writes.values())))
 
 
@@ -112,24 +114,14 @@ def _expr_origins(t: _FnTaint, e) -> set[_Origin]:
     """Address origins an expression's value may carry. Numeric expressions
     carry none; MicroSol has no numeric-to-address route."""
     if isinstance(e, ir.RClient):
-        return {("client", e.slot)}
+        return {("explicit", e.slot)}
     if isinstance(e, ir.RRole):
-        return {("role", e.index)} | t.role_writes.get(e.index, set())
+        return {("transient", e.index)} | t.role_writes.get(e.index, set())
     if isinstance(e, ir.RAddrLit):
-        return {("lit", e.value)}
+        return {("implicit", e.value)}
     if isinstance(e, ir.RLocal) and e.is_address:
         return set(t.local_origins.get(e.slot, set()))
     return set()
-
-
-def _sink(t: _FnTaint, origins: set[_Origin]) -> None:
-    for kind, idx in origins:
-        if kind == "client":
-            t.sink_clients.add(idx)
-        elif kind == "role":
-            t.sink_roles.add(idx)
-        else:
-            t.sink_lits.add(idx)
 
 
 def _walk_expr(t: _FnTaint, e) -> None:
@@ -137,12 +129,12 @@ def _walk_expr(t: _FnTaint, e) -> None:
         _walk_expr(t, e.left)
         _walk_expr(t, e.right)
         if e.address_compare:
-            _sink(t, _expr_origins(t, e.left) | _expr_origins(t, e.right))
+            t.sinks |= _expr_origins(t, e.left) | _expr_origins(t, e.right)
     elif isinstance(e, ir.RNot):
         _walk_expr(t, e.operand)
     elif isinstance(e, ir.RMapRead):
         _walk_expr(t, e.key)
-        _sink(t, _expr_origins(t, e.key))
+        t.sinks |= _expr_origins(t, e.key)
 
 
 def _walk_stmt(t: _FnTaint, s, taints: dict) -> None:
@@ -156,7 +148,7 @@ def _walk_stmt(t: _FnTaint, s, taints: dict) -> None:
         t.local_origins.setdefault(s.slot, set()).update(_expr_origins(t, s.value))
     elif isinstance(s, ir.SMapWrite):
         _walk_expr(t, s.key)
-        _sink(t, _expr_origins(t, s.key))
+        t.sinks |= _expr_origins(t, s.key)
         _walk_expr(t, s.value)
     elif isinstance(s, (ir.SRequire, ir.SAssert)):
         _walk_expr(t, s.cond)
@@ -165,17 +157,15 @@ def _walk_stmt(t: _FnTaint, s, taints: dict) -> None:
         for b in s.body:
             _walk_stmt(t, b, taints)
     elif isinstance(s, ir.SCall):
-        callee = taints[s.callee]
         for e in s.client_exprs:
             _walk_expr(t, e)
         for e in s.arg_exprs:
             _walk_expr(t, e)
-        # Addresses handed to a callee that sinks the matching client slot
-        # reach a sink here too.
-        for slot in callee.sink_clients:
-            _sink(t, _expr_origins(t, s.client_exprs[slot]))
-        t.sink_roles.update(callee.sink_roles)
-        t.sink_lits.update(callee.sink_lits)
+        # A callee's client slot reaches a sink here through the addresses
+        # passed in it; its roles and literals reach one as they are.
+        for kind, i in tuple(taints[s.callee].sinks):
+            t.sinks |= (_expr_origins(t, s.client_exprs[i]) if kind == "explicit"
+                        else {(kind, i)})
 
 
 def taint_summary(bundle: ContractBundle) -> TaintSummary:
@@ -196,15 +186,15 @@ def taint_summary(bundle: ContractBundle) -> TaintSummary:
             for s in t.fn.body:
                 _walk_stmt(t, s, taints)
             changed = changed or before != t.size()
-    args: set[int] = {0}
-    roles: set[int] = set()
-    lits: set[int] = {ZERO_ACCOUNT, *bundle.contract_accounts}
+    sinks = {("explicit", 0), *(("implicit", a)
+                                for a in (ZERO_ACCOUNT, *bundle.contract_accounts))}
     for name in bundle.tx_order:
-        t = taints[(0, name)]
-        args |= t.sink_clients
-        roles |= t.sink_roles
-        lits |= t.sink_lits
-    return TaintSummary(frozenset(args), frozenset(roles), frozenset(lits))
+        sinks |= taints[(0, name)].sinks
+
+    def indices(kind: str) -> frozenset[int]:
+        return frozenset(i for k, i in sinks if k == kind)
+
+    return TaintSummary(indices("explicit"), indices("transient"), indices("implicit"))
 
 
 def build_ptg(summary: TaintSummary) -> PtGraph:
@@ -242,23 +232,8 @@ class SemanticPT:
 
 
 def _fresh_address(bundle: ContractBundle, n: int) -> int:
-    lits = [l.value for key in bundle.all_functions
-            for l in _iter_addr_lits(bundle.all_functions[key].body)]
+    lits = [node.value for node in A.walk(bundle.unit) if isinstance(node, A.AddressLit)]
     return max([n - 1, *bundle.contract_accounts, *lits]) + 1
-
-
-def _iter_addr_lits(body):
-    stack = list(body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ir.RAddrLit):
-            yield node
-        for f in getattr(node, "__dataclass_fields__", {}):
-            v = getattr(node, f)
-            if isinstance(v, tuple):
-                stack.extend(x for x in v if hasattr(x, "__dataclass_fields__"))
-            elif hasattr(v, "__dataclass_fields__"):
-                stack.append(v)
 
 
 def _controls(bundle: ContractBundle, n: int, domain: DataDomain):
@@ -268,25 +243,21 @@ def _controls(bundle: ContractBundle, n: int, domain: DataDomain):
                 yield ControlState(roles, data, ctor)
 
 
-def _leaf_post_differs(a: Leaf, b: Leaf, skip_slot: int, merged: dict) -> bool:
+def _leaf_post_differs(a: Leaf, b: Leaf, slot: int) -> bool:
     """Whether two execution paths taken from states differing only in user
-    ``skip_slot`` give observably different results per the influence
+    ``slot`` give observably different results per the influence
     definition: different post controls, or some other user's post state
     differs for a suitable choice of the map vectors neither path read."""
     if a.control_after != b.control_after:
         return True
-    for s in (a.writes.keys() | b.writes.keys()) - {skip_slot}:
-        da, db = a.writes.get(s, {}), b.writes.get(s, {})
-        base = merged.get(s)
-        for c in set(da) | set(db):
-            if base is not None:
-                if da.get(c, base[c]) != db.get(c, base[c]):
-                    return True
-            elif c in da and c in db:
-                if da[c] != db[c]:
-                    return True
-            else:
-                return True  # written on one side only: some base disagrees
+    for s in (a.writes.keys() | b.writes.keys()) - {slot}:
+        wa, wb = a.writes.get(s), b.writes.get(s)
+        base = a.assignment.get(s, b.assignment.get(s))
+        if base is None:
+            if wa != wb:  # some base vector tells the writes apart
+                return True
+        elif apply_writes(base, wa) != apply_writes(base, wb):
+            return True
     return False
 
 
@@ -313,37 +284,32 @@ def semantic_pt(bundle: ContractBundle, n: int, action: Action,
         work += len(leaves)
         if work > budget:
             raise BudgetExceeded(f"semantic_pt budget of {budget} paths exceeded")
-        read_slots: set[int] = set()
         for leaf in leaves:
-            read_slots.update(leaf.assignment)
             # influenced-by: a persistent write some base vector can observe
             for slot, cells in leaf.writes.items():
                 base = leaf.assignment.get(slot)
-                if base is None or any(base[c] != v for c, v in cells.items()):
+                if base is None or apply_writes(base, cells) != base:
                     pt.attribute(ids[slot], leaf.uses.get(ids[slot], ()))
             # influence via readdressing: any use of the old address faults
             if leaf.outcome != "bottom":
                 for a, origins in leaf.uses.items():
                     if a in id_set:
                         pt.attribute(a, origins)
-        # influence via map variants: pair executions whose read sets agree
-        # everywhere except the varied slot (a leaf that never read the slot
-        # stands for every value of it)
-        for slot in read_slots:
-            for x, y in itertools.combinations(leaves, 2):
-                ax, ay = x.assignment, y.assignment
-                if any(ax[s] != ay[s] for s in ax.keys() & ay.keys() if s != slot):
-                    continue
-                xi, yi = ax.get(slot), ay.get(slot)
-                if xi is not None and yi is not None and xi == yi:
-                    continue
-                if xi is None and yi is None:
-                    continue  # neither read it: identical executions
-                merged = {s: v for s, v in {**ax, **ay}.items() if s != slot}
-                if _leaf_post_differs(x, y, slot, merged):
-                    pt.attribute(ids[slot], x.uses.get(ids[slot], set())
-                                 | y.uses.get(ids[slot], set()))
-                    break
+        # influence via map variants: two paths part at a slot both read, so
+        # a pair stands for two states differing in one user only when their
+        # reads differ in that slot alone (a slot one path never read stands
+        # for every value of it)
+        influential: set[int] = set()
+        for x, y in itertools.combinations(leaves, 2):
+            ax, ay = x.assignment, y.assignment
+            differ = [s for s in ax.keys() & ay.keys() if ax[s] != ay[s]]
+            if len(differ) != 1 or differ[0] in influential:
+                continue
+            slot = differ[0]
+            if _leaf_post_differs(x, y, slot):
+                influential.add(slot)
+                pt.attribute(ids[slot], x.uses.get(ids[slot], set())
+                             | y.uses.get(ids[slot], set()))
     return pt
 
 
