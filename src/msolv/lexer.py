@@ -19,6 +19,7 @@ KEYWORDS = {
 # Longest match first for the two-character operators.
 _TWO_CHAR = ("==", "!=", "&&", "||", "=>")
 _ONE_CHAR = "{}()[];,=<>+-*/!."
+_DIGITS = "0123456789"  # ASCII only: str.isdigit also takes "²" and "٣"
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,15 @@ def tokenize(source: str) -> list[Token]:
             i += 2
             col += 2
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
+            try:
+                int(source[i:j])
+            except ValueError:  # over the interpreter's digit limit
+                raise MicroSolSyntaxError(
+                    f"numeral of {j - i} digits is too long", line, col) from None
             toks.append(Token("int", source[i:j], line, col))
             col += j - i
             i = j

@@ -18,6 +18,7 @@ domain; division by zero evaluates to 0.
 from __future__ import annotations
 
 import itertools
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Union
@@ -61,11 +62,23 @@ def _read_sexprs(text: str) -> list[Sexpr]:
             done = stack.pop()
             (stack[-1] if stack else out).append(done)
         else:
-            atom: Sexpr = int(t) if t.lstrip("-").isdigit() else t
-            (stack[-1] if stack else out).append(atom)
+            (stack[-1] if stack else out).append(_atom(t))
     if stack:
         raise SpecSyntaxError("unbalanced '('")
     return out
+
+
+_NUMERAL = re.compile(r"-?[0-9]+")
+
+
+def _atom(t: str) -> Sexpr:
+    """An integer for an ASCII numeral, else the symbol itself."""
+    if not _NUMERAL.fullmatch(t):
+        return t
+    try:
+        return int(t)
+    except ValueError:  # over the interpreter's digit limit
+        raise SpecSyntaxError(f"numeral of {len(t.lstrip('-'))} digits is too long") from None
 
 
 def _format_sexpr(s: Sexpr) -> str:

@@ -168,6 +168,15 @@ def _constructor(expr: str) -> str:
     return f"contract C {{ uint x; constructor() public {{ x = {expr}; }} }}"
 
 
+def _neighbourhood(number: str):
+    spec = f"(invariant (else (= (map 0 0) {number})))"
+    return ["neighbourhood", AUCTION, "s.spec"], {"s.spec": spec}
+
+
+# U+00B2 passes str.isdigit but not int(); CPython converts at most 4,300 digits.
+SUPERSCRIPT_TWO, LONG_NUMERAL = "\u00b2", "9" * 5000
+
+
 @pytest.mark.parametrize("argv, files", [
     (["check", AUCTION, SPEC, "--width", "0"], {}),
     (["oracle", AUCTION, SPEC, "--width", "65"], {}),
@@ -184,10 +193,15 @@ def _constructor(expr: str) -> str:
     (["check", AUCTION, "s.spec"], {"s.spec": b"\xff\xfe"}),
     (["check", AUCTION, SPEC, "--width", "2", "--budget-secs", "nan"], {}),
     (["oracle", AUCTION, SPEC, "--width", "2", "--budget-secs", "nan"], {}),
+    (["parse", "c.msol"], {"c.msol": _constructor(SUPERSCRIPT_TWO)}),
+    (["parse", "c.msol"], {"c.msol": _constructor(LONG_NUMERAL)}),
+    _neighbourhood(SUPERSCRIPT_TWO),
+    _neighbourhood(LONG_NUMERAL),
 ], ids=["width-0", "width-65", "one-user", "not-json", "no-tx", "too-few-clients",
         "too-few-args", "string-client", "arg-outside-domain", "deep-parens",
         "long-sum", "contract-not-utf8", "spec-not-utf8", "check-nan-budget",
-        "oracle-nan-budget"])
+        "oracle-nan-budget", "contract-superscript-digit", "contract-long-numeral",
+        "spec-superscript-digit", "spec-long-numeral"])
 def test_user_errors_exit_two_with_one_line(capsys, tmp_path, argv, files):
     for name, content in files.items():
         if isinstance(content, bytes):
