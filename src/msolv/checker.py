@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InputError, PreconditionUnmet
+from .errors import BudgetExceeded, InputError, PreconditionUnmet, within
 from .localization import allowed_vectors, rule_neighbourhood
 from .properties import (GuardedProperty, SplitInvariant, check_universal,
                          eval_guarded, eval_split)
@@ -113,12 +113,7 @@ def _list_actions(bundle: ContractBundle, addresses, domain: DataDomain,
                   deadline: float) -> list[Action]:
     """Every action over ``addresses``, listed under the time budget: there
     are 2^width of them per numeric argument."""
-    actions = []
-    for action in enumerate_actions(bundle, addresses, domain):
-        if time.monotonic() > deadline:
-            raise BudgetExceeded("time budget exceeded")
-        actions.append(action)
-    return actions
+    return list(within(deadline, enumerate_actions(bundle, addresses, domain)))
 
 
 # --------------------------------------------------------------------------
@@ -237,15 +232,18 @@ class _LocalEngine:
 
     def _phi_witness(self, phi: GuardedProperty, key: tuple):
         """None if the property holds everywhere in the class; otherwise a
-        (slot values, reason) pair pinning the first violating member."""
+        (slot values, reason) pair pinning the first violating member. The
+        members are k-tuples of users and their vectors, enumerated under
+        the time budget."""
         control = key[0]
         domains = self._domains(key)
-        for combo in itertools.permutations(range(len(self.ids)), phi.k):
-            for choice in itertools.product(*(domains[s] for s in combo)):
-                users = tuple(UserRecord(self.ids[s], v)
-                              for s, v in zip(combo, choice))
-                if not eval_guarded(phi, control, users, self.domain):
-                    return dict(zip(combo, choice)), f"{phi.name} fails on user slots {list(combo)}"
+        members = ((combo, choice)
+                   for combo in itertools.permutations(range(len(self.ids)), phi.k)
+                   for choice in itertools.product(*(domains[s] for s in combo)))
+        for combo, choice in within(self.deadline, members):
+            users = tuple(UserRecord(self.ids[s], v) for s, v in zip(combo, choice))
+            if not eval_guarded(phi, control, users, self.domain):
+                return dict(zip(combo, choice)), f"{phi.name} fails on user slots {list(combo)}"
         return None
 
     # -- breadth-first search ----------------------------------------------
@@ -282,11 +280,9 @@ class _LocalEngine:
         while frontier:
             first = None  # the level's first violation, as _cex arguments
             next_frontier: list[tuple] = []
-            for key in frontier:
+            for key in within(self.deadline, frontier):
                 if len(self.parents) > self.budget_states:
                     raise BudgetExceeded("state budget exceeded")
-                if time.monotonic() > self.deadline:
-                    raise BudgetExceeded("time budget exceeded")
                 for kind, ai, leaf, succ, bad in self._successors(key):
                     link = (key, ai, leaf)
                     if kind == "bottom":
@@ -435,35 +431,33 @@ def global_oracle(bundle: ContractBundle, n: int, phi: GuardedProperty,
 
     try:
         actions = _list_actions(bundle, range(n), domain, deadline)
+        w = check_universal(phi, s0, domain, deadline=deadline)
+        if w is not True:
+            return Verdict("cex_property", stats(), trace=trace_to(s0),
+                           reason=f"{phi.name} fails on user slots {list(w)}")
+        frontier = [s0]
+        while frontier:
+            next_frontier = []
+            for st in within(deadline, frontier):
+                if len(parents) > budget_states:
+                    raise BudgetExceeded("state budget exceeded")
+                for act in actions:
+                    post = step(bundle, st, act, domain)
+                    transitions += 1
+                    if post in parents:
+                        continue
+                    parents[post] = (st, act)
+                    if post.is_bottom:
+                        return Verdict("cex_property", stats(), trace=trace_to(post),
+                                       reason="error state reachable")
+                    wit = check_universal(phi, post, domain, deadline=deadline)
+                    if wit is not True:
+                        return Verdict("cex_property", stats(), trace=trace_to(post),
+                                       reason=f"{phi.name} fails on user slots {list(wit)}")
+                    next_frontier.append(post)
+            frontier = next_frontier
     except BudgetExceeded as e:
         return Verdict("exhausted", stats(), reason=str(e))
-    w = check_universal(phi, s0, domain)
-    if w is not True:
-        return Verdict("cex_property", stats(), trace=trace_to(s0),
-                       reason=f"{phi.name} fails on user slots {list(w)}")
-    frontier = [s0]
-    while frontier:
-        next_frontier = []
-        for st in frontier:
-            if len(parents) > budget_states:
-                return Verdict("exhausted", stats(), reason="state budget exceeded")
-            if time.monotonic() > deadline:
-                return Verdict("exhausted", stats(), reason="time budget exceeded")
-            for act in actions:
-                post = step(bundle, st, act, domain)
-                transitions += 1
-                if post in parents:
-                    continue
-                parents[post] = (st, act)
-                if post.is_bottom:
-                    return Verdict("cex_property", stats(), trace=trace_to(post),
-                                   reason="error state reachable")
-                wit = check_universal(phi, post, domain)
-                if wit is not True:
-                    return Verdict("cex_property", stats(), trace=trace_to(post),
-                                   reason=f"{phi.name} fails on user slots {list(wit)}")
-                next_frontier.append(post)
-        frontier = next_frontier
     invariant = tuple(sorted({s.control for s in parents if not s.is_bottom}))
     return Verdict("safe", stats(), invariant=invariant)
 

@@ -1,6 +1,12 @@
-"""Exception hierarchy shared across the toolchain."""
+"""Exception hierarchy shared across the toolchain, and the time-budget
+check behind every ``BudgetExceeded("time budget exceeded")``."""
 
 from __future__ import annotations
+
+import time
+from typing import Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 class MsolvError(Exception):
@@ -59,6 +65,16 @@ class SpecBindingError(MsolvError):
 
 class BudgetExceeded(MsolvError):
     """An exhaustive enumeration hit its configured bound."""
+
+
+def within(deadline: float, items: Iterable[T]) -> Iterator[T]:
+    """``items`` one at a time, until ``time.monotonic()`` passes
+    ``deadline``; then BudgetExceeded. Every enumeration whose size the
+    input sets runs through here, so ``--budget-secs`` bounds it."""
+    for item in items:
+        if time.monotonic() > deadline:
+            raise BudgetExceeded("time budget exceeded")
+        yield item
 
 
 class PreconditionUnmet(MsolvError):

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import BudgetExceeded
+from .errors import within
 from .properties import GuardedProperty, SplitInvariant, eval_split
 from .ptg import PtGraph
 from .semantics import (Action, BundleState, ControlState, DataDomain,
@@ -96,9 +95,7 @@ def allowed_vectors(theta: SplitInvariant, control: ControlState, user_id: int,
     so the enumeration raises BudgetExceeded once ``time.monotonic()``
     passes ``deadline``."""
     out = []
-    for v in itertools.product(domain.values(), repeat=n_maps):
-        if time.monotonic() > deadline:
-            raise BudgetExceeded("time budget exceeded")
+    for v in within(deadline, itertools.product(domain.values(), repeat=n_maps)):
         if eval_split(theta, control, UserRecord(user_id, v), domain):
             out.append(v)
     return tuple(out)

@@ -18,12 +18,13 @@ domain; division by zero evaluates to 0.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
-from .errors import SpecBindingError, SpecSyntaxError
+from .errors import SpecBindingError, SpecSyntaxError, within
 from .semantics import BundleState, ControlState, DataDomain, UserRecord
 from .validator import VariableLayout
 
@@ -395,13 +396,15 @@ def eval_guarded(phi: GuardedProperty, control: ControlState,
 
 
 def check_universal(phi: GuardedProperty, state: BundleState,
-                    domain: DataDomain):
+                    domain: DataDomain, *, deadline: float = math.inf):
     """True iff the property holds on every ordered tuple of distinct user
-    indices; otherwise the lexicographically first violating tuple."""
+    indices; otherwise the lexicographically first violating tuple. There
+    are n!/(n-k)! tuples, so BudgetExceeded ends the enumeration once
+    ``time.monotonic()`` passes ``deadline``."""
     if state.is_bottom:
         raise ValueError("cannot evaluate properties on the error state")
     users = state.users
-    for combo in itertools.permutations(range(len(users)), phi.k):
+    for combo in within(deadline, itertools.permutations(range(len(users)), phi.k)):
         if not eval_guarded(phi, state.control, tuple(users[i] for i in combo), domain):
             return combo
     return True

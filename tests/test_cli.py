@@ -127,15 +127,27 @@ def test_report_renderings(capsys):
     assert "EXHAUSTED" in out and "states=" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", AUCTION, SPEC, "--width", "18"],
-    ["oracle", AUCTION, SPEC, "--users", "3", "--width", "18"],
-], ids=["check", "oracle"])
-def test_time_budget_bounds_allowed_set_enumeration(capsys, argv):
+# Every 7-tuple of distinct users is a property instance: 604,800 of them
+# over the 10 addresses of the local bundle and of the 10-user oracle.
+K7_SPEC = "(invariant (else true)) (property (k 7) (xi (= (map 0 0) (map 0 0))))"
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["check", AUCTION, SPEC, "--width", "18"], {}),
+    (["oracle", AUCTION, SPEC, "--users", "3", "--width", "18"], {}),
+    (["check", AUCTION, "k7.spec", "--width", "1", "--assume-invariant"],
+     {"k7.spec": K7_SPEC}),
+    (["oracle", AUCTION, "k7.spec", "--users", "10", "--width", "1"], {"k7.spec": K7_SPEC}),
+], ids=["check", "oracle", "check-k7-property", "oracle-k7-property"])
+def test_time_budget_bounds_allowed_set_enumeration(capsys, tmp_path, argv, files):
     # At width 18 each user's allowed set has 2^18 candidate vectors; the
     # time budget must stop that enumeration, the initial control's too.
     # So must the listing of the 2^18 actions per bid amount, which alone
-    # takes over a second.
+    # takes over a second, and the evaluation of a k=7 property on the
+    # initial state.
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     t0 = time.monotonic()
     code, out, _ = run(capsys, *argv, "--budget-secs", "0.5")
     wall = time.monotonic() - t0
