@@ -138,7 +138,6 @@ class SCall:
 @dataclass(frozen=True)
 class IRFunction:
     name: str
-    contract_index: int
     n_clients: int   # includes msg.sender at slot 0
     n_args: int
     n_locals: int

@@ -6,8 +6,6 @@ from . import ast_nodes as A
 from .errors import MicroSolSyntaxError
 from .lexer import Token, tokenize
 
-_TYPE_STARTS = {"uint", "bool", "address", "mapping"}
-
 
 class _Parser:
     def __init__(self, tokens: list[Token]):

@@ -227,7 +227,6 @@ class _FunctionLowering:
         body = self._stmts(self.fn.body)
         return ir.IRFunction(
             name=self.fn.name,
-            contract_index=self.info.index,
             n_clients=n_clients,
             n_args=n_args,
             n_locals=len(self.locals),
