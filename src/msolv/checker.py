@@ -109,13 +109,6 @@ def _clock(budget_secs: float) -> tuple[float, float]:
     return started, started + budget_secs
 
 
-def _list_actions(bundle: ContractBundle, addresses, domain: DataDomain,
-                  deadline: float) -> list[Action]:
-    """Every action over ``addresses``, listed under the time budget: there
-    are 2^width of them per numeric argument."""
-    return list(within(deadline, enumerate_actions(bundle, addresses, domain)))
-
-
 # --------------------------------------------------------------------------
 # the local-bundle class engine
 # --------------------------------------------------------------------------
@@ -259,7 +252,8 @@ class _LocalEngine:
             return Verdict("exhausted", self._stats(), reason=str(e))
 
     def _search(self, phi: GuardedProperty | None) -> Verdict:
-        self.actions = _list_actions(self.bundle, self.ids, self.domain, self.deadline)
+        self.actions = list(within(self.deadline, enumerate_actions(
+            self.bundle, self.ids, self.domain)))
         zeros = (0,) * self.bundle.n_maps
         control = ControlState((0,) * self.bundle.n_roles, (0,) * self.bundle.n_data, 0)
         vectors, allowed = self._allowed_at(control)
@@ -430,7 +424,7 @@ def global_oracle(bundle: ContractBundle, n: int, phi: GuardedProperty,
         return Trace(tuple(reversed(states)), tuple(reversed(acts)))
 
     try:
-        actions = _list_actions(bundle, range(n), domain, deadline)
+        actions = list(within(deadline, enumerate_actions(bundle, range(n), domain)))
         w = check_universal(phi, s0, domain, deadline=deadline)
         if w is not True:
             return Verdict("cex_property", stats(), trace=trace_to(s0),
