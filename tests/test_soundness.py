@@ -122,16 +122,8 @@ def _assert_engine_matches_reference(bundle, theta, phi, domain):
         assert len(v.trace) == detail
 
 
-@pytest.mark.parametrize("inv_src", INVARIANT_POOL)
-@pytest.mark.parametrize("prop_src", [p for p in PROPERTY_POOL if "(guard-" in p])
-def test_engine_agrees_with_reference_search(auction_plain, inv_src, prop_src):
-    spec = parse_spec(inv_src + prop_src, auction_plain.layout)
-    _assert_engine_matches_reference(auction_plain, spec.invariant,
-                                     spec.properties[0], D1)
-
-
-# Invariants over the relay source (tests/data/relay.msol) small enough for
-# the literal search, each paired with a guarded property.
+# Invariants over the relay source (tests/data/relay.msol), each with a
+# guarded property; looser ones make the literal search too slow.
 RELAY_POOL = [
     ("(invariant (else (= (map 0 sent) 0)))",
      "(property (k 1) (guard-lit 0 slot 0) (xi (= (map 0 credit) 0)))"),
@@ -140,12 +132,18 @@ RELAY_POOL = [
     ("(invariant (role owner (= (map 0 credit) 0)) (else (= (map 0 credit) (map 0 sent))))",
      "(property (k 1) (guard-lit 0 slot 0) (xi (= (map 0 credit) 0)))"),
 ]
+REFERENCE_CASES = (
+    [("auction_plain", inv, prop) for inv in INVARIANT_POOL
+     for prop in PROPERTY_POOL if "(guard-" in prop]
+    + [("relay", inv, prop) for inv, prop in RELAY_POOL])
 
 
-@pytest.mark.parametrize("inv_src, prop_src", RELAY_POOL)
-def test_engine_agrees_with_reference_search_on_relay(relay, inv_src, prop_src):
-    spec = parse_spec(inv_src + prop_src, relay.layout)
-    _assert_engine_matches_reference(relay, spec.invariant, spec.properties[0], D1)
+@pytest.mark.parametrize("source, inv_src, prop_src", REFERENCE_CASES,
+                         ids=[f"{prop}-{inv}" for _, inv, prop in REFERENCE_CASES])
+def test_engine_agrees_with_reference_search(request, source, inv_src, prop_src):
+    bundle = request.getfixturevalue(source)
+    spec = parse_spec(inv_src + prop_src, bundle.layout)
+    _assert_engine_matches_reference(bundle, spec.invariant, spec.properties[0], D1)
 
 
 def test_engine_admits_values_wider_than_the_domain():

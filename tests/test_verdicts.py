@@ -124,36 +124,44 @@ def test_golden_file_covers_every_case():
     assert list(_golden(STATIC_GOLDEN)) == [tuple(argv) for argv in _static_cases()]
 
 
-# ------------------------------------------------ the two-contract source
+# ------------------------------------------------ the two-contract and relay sources
 #
-# B runs with A's account as msg.sender both when A creates it and when A
-# calls it, so go() from A's owner writes A's own cell in B's map.
+# two_contracts: B runs with A's account as msg.sender both when A creates
+# it and when A calls it, so go() from A's owner writes A's own cell in B's
+# map.
+#
+# relay: an address local, an internal call with an address argument, `if`,
+# `&&`, `||`, `*`, `return`, a bounded `while`, an `assert` that a two-bit
+# domain breaks, and map cells read after a write in the same transaction.
 
-W1 = DataDomain(1)
+W1, W2 = DataDomain(1), DataDomain(2)
+SOURCES = ("two_contracts", "relay")
 
 
-@pytest.fixture(scope="module")
-def two():
-    bundle = msolv.load((DATA / "two_contracts.msol").read_text())
-    spec = parse_spec((DATA / "two_contracts.spec").read_text(), bundle.layout)
+@functools.cache
+def _source(name: str):
+    bundle = msolv.load((DATA / f"{name}.msol").read_text())
+    spec = parse_spec((DATA / f"{name}.spec").read_text(), bundle.layout)
     return bundle, spec, build_ptg(taint_summary(bundle))
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_two_contracts_ptg_covers_semantics(two, n):
-    bundle, _, ptg = two
+@pytest.mark.parametrize("name", SOURCES)
+def test_corpus_ptg_covers_semantics(name, n):
+    bundle, _, ptg = _source(name)
     for act in enumerate_actions(bundle, range(n), W1):
         assert coverage_violations(ptg, semantic_pt(bundle, n, act, W1)) == [], act
 
 
-def test_two_contracts_semantic_pt_matches_naive(two):
-    bundle, _, _ = two
+@pytest.mark.parametrize("name", SOURCES)
+def test_corpus_semantic_pt_matches_naive(name):
+    bundle, _, _ = _source(name)
     for act in enumerate_actions(bundle, range(3), W1):
         assert semantic_pt(bundle, 3, act, W1) == semantic_pt_naive(bundle, 3, act, W1), act
 
 
-def test_two_contracts_counterexamples_replay(two):
-    bundle, spec, ptg = two
+def test_two_contracts_counterexamples_replay():
+    bundle, spec, ptg = _source("two_contracts")
     v = check_compositional(bundle, ptg, spec.invariant, W1)
     assert v.result == "cex_invariant"
     assert replay_trace(bundle, v.trace, W1, theta=spec.invariant)
@@ -162,37 +170,8 @@ def test_two_contracts_counterexamples_replay(two):
     assert replay_trace(bundle, v.trace, W1)
 
 
-# ------------------------------------------------ the relay source
-#
-# An address local, an internal call with an address argument, `if`, `&&`,
-# `||`, `*`, `return`, a bounded `while`, an `assert` that a two-bit domain
-# breaks, and map cells read after a write in the same transaction.
-
-W2 = DataDomain(2)
-
-
-@pytest.fixture(scope="module")
-def relay_case():
-    bundle = msolv.load((DATA / "relay.msol").read_text())
-    spec = parse_spec((DATA / "relay.spec").read_text(), bundle.layout)
-    return bundle, spec, build_ptg(taint_summary(bundle))
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_relay_ptg_covers_semantics(relay_case, n):
-    bundle, _, ptg = relay_case
-    for act in enumerate_actions(bundle, range(n), W1):
-        assert coverage_violations(ptg, semantic_pt(bundle, n, act, W1)) == [], act
-
-
-def test_relay_semantic_pt_matches_naive(relay_case):
-    bundle, _, _ = relay_case
-    for act in enumerate_actions(bundle, range(3), W1):
-        assert semantic_pt(bundle, 3, act, W1) == semantic_pt_naive(bundle, 3, act, W1), act
-
-
-def test_relay_counterexamples_replay(relay_case):
-    bundle, spec, ptg = relay_case
+def test_relay_counterexamples_replay():
+    bundle, spec, ptg = _source("relay")
     one_holder = spec.properties[1]
     v = check_safety(bundle, ptg, spec.invariant, one_holder, W1)
     assert v.result == "cex_property"
