@@ -6,7 +6,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, Iterator, TypeVar
 
-T = TypeVar("T")
+_T = TypeVar("_T")
 
 
 class MsolvError(Exception):
@@ -67,7 +67,7 @@ class BudgetExceeded(MsolvError):
     """An exhaustive enumeration hit its configured bound."""
 
 
-def within(deadline: float, items: Iterable[T]) -> Iterator[T]:
+def within(deadline: float, items: Iterable[_T]) -> Iterator[_T]:
     """``items`` one at a time, until ``time.monotonic()`` passes
     ``deadline``; then BudgetExceeded. Every enumeration whose size the
     input sets runs through here, so ``--budget-secs`` bounds it."""

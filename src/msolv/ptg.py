@@ -186,8 +186,8 @@ def taint_summary(bundle: ContractBundle) -> TaintSummary:
             for s in t.fn.body:
                 _walk_stmt(t, s, taints)
             changed = changed or before != t.size()
-    sinks = {("explicit", 0), *(("implicit", a)
-                                for a in (ZERO_ACCOUNT, *bundle.contract_accounts))}
+    sinks = {("explicit", 0), ("implicit", ZERO_ACCOUNT),
+             *(("implicit", a) for a in bundle.contract_accounts)}
     for name in bundle.tx_order:
         sinks |= taints[(0, name)].sinks
 
