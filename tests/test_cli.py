@@ -185,7 +185,8 @@ def _neighbourhood(number: str):
     return ["neighbourhood", AUCTION, "s.spec"], {"s.spec": spec}
 
 
-# U+00B2 passes str.isdigit but not int(); CPython converts at most 4,300 digits.
+# U+00B2 passes str.isdigit but not int(); CPython converts at most 4,300
+# digits; "--5" passed the spec reader's lstrip("-").isdigit() test.
 SUPERSCRIPT_TWO, LONG_NUMERAL = "\u00b2", "9" * 5000
 
 
@@ -209,11 +210,12 @@ SUPERSCRIPT_TWO, LONG_NUMERAL = "\u00b2", "9" * 5000
     (["parse", "c.msol"], {"c.msol": _constructor(LONG_NUMERAL)}),
     _neighbourhood(SUPERSCRIPT_TWO),
     _neighbourhood(LONG_NUMERAL),
+    _neighbourhood("--5"),
 ], ids=["width-0", "width-65", "one-user", "not-json", "no-tx", "too-few-clients",
         "too-few-args", "string-client", "arg-outside-domain", "deep-parens",
         "long-sum", "contract-not-utf8", "spec-not-utf8", "check-nan-budget",
         "oracle-nan-budget", "contract-superscript-digit", "contract-long-numeral",
-        "spec-superscript-digit", "spec-long-numeral"])
+        "spec-superscript-digit", "spec-long-numeral", "spec-double-minus"])
 def test_user_errors_exit_two_with_one_line(capsys, tmp_path, argv, files):
     for name, content in files.items():
         if isinstance(content, bytes):
