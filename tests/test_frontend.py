@@ -4,6 +4,7 @@ import pytest
 
 import msolv
 from msolv import ast_nodes as A
+from msolv import ir
 from msolv.errors import MicroSolSyntaxError, UnknownFunction, ValidationError
 from msolv.parser import parse
 from msolv.validator import validate
@@ -53,6 +54,7 @@ def test_multi_dimensional_mapping_rejected():
     with pytest.raises(ValidationError) as exc:
         msolv.load(src)
     assert exc.value.rule == "map-single-dim"
+    assert str(exc.value) == "1:112: [map-single-dim] only one-dimensional mappings exist"
 
 
 def test_layout_counts(auction):
@@ -68,32 +70,167 @@ def test_layout_counts(auction):
         counts("nope")
 
 
-@pytest.mark.parametrize("src,rule", [
+D = "contract D { constructor() public {} function g() public {} }"
+E = "contract E { constructor() public {} }"
+MAP = "mapping(address => uint) m;"
+
+
+def _contract(decls="", ctor="", functions=""):
+    return f"contract C {{ {decls} constructor() public {{ {ctor} }} {functions} }}"
+
+
+def _function(decls, body, params="", extra=""):
+    return _contract(decls, "", f"function f({params}) public {{ {body} }} {extra}")
+
+
+def _holding_d(decls, body):
+    """C binds its `D d` in the constructor; f runs ``body``."""
+    return _contract(f"D d; {decls}", "d = new D();", f"function f() public {{ {body} }}") + " " + D
+
+
+# One input per reachable rule and message of the validator.
+@pytest.mark.parametrize("src,rule,pos,message", [
     ("contract C { uint y; address x; constructor() public {} "
-     "function f() public { x = address(y+1); } }", "no-numeric-cast"),
+     "function f() public { x = address(y+1); } }",
+     "no-numeric-cast", "1:83", "numeric values cannot be cast to address"),
     ("contract D { constructor() public {} } "
      "contract C { D d; constructor() public {} "
-     "function f() public { d = new D(); } }", "new-in-constructor-only"),
+     "function f() public { d = new D(); } }",
+     "new-in-constructor-only", "1:104", "`new` must only appear in constructors"),
     ("contract C { address a; address b; constructor() public {} "
-     "function f() public { require(a < b); } }", "no-address-order"),
+     "function f() public { require(a < b); } }",
+     "no-address-order", "1:92", "addresses only compare with == and !="),
     ("contract C { address a; uint y; constructor() public {} "
-     "function f() public { y = a + 1; } }", "no-address-arith"),
+     "function f() public { y = a + 1; } }",
+     "no-address-arith", "1:85", "addresses do not support arithmetic"),
     ("contract C { mapping(address => uint) m; uint y; constructor() public {} "
-     "function f() public { require(m[y] > 0); } }", "map-key-address"),
+     "function f() public { require(m[y] > 0); } }",
+     "map-key-address", "1:105", "mapping keys must be addresses"),
     ("contract C { address x; constructor() public {} "
-     "function f() public { x = 3; } }", "no-numeric-cast"),
+     "function f() public { x = 3; } }",
+     "no-numeric-cast", "1:71", "cannot store numeric into address x"),
     ("contract C { constructor() public {} "
-     "function f() public { y = 1; } }", "unknown-variable"),
-    ("contract C { uint y; uint y; constructor() public {} }", "duplicate-variable"),
+     "function f() public { y = 1; } }",
+     "unknown-variable", "1:60", "unknown variable y"),
+    ("contract C { uint y; uint y; constructor() public {} }",
+     "duplicate-variable", "1:22", "state variable y redeclared"),
     ("contract C { constructor() public {} "
-     "function f(uint a) public { a = 2; } }", "assign-to-param"),
+     "function f(uint a) public { a = 2; } }",
+     "assign-to-param", "1:66", "parameter a is read-only"),
     ("contract C { uint y; constructor() public {} "
-     "function f() public { require(y == msg.sender); } }", "type-mismatch"),
+     "function f() public { require(y == msg.sender); } }",
+     "type-mismatch", "1:78", "cannot compare address with numeric"),
+    # state variables, contracts and functions
+    ("contract C { constructor() public {} } contract C { constructor() public {} }",
+     "duplicate-contract", "1:40", "contract C declared twice"),
+    (_contract("D d;"),
+     "unknown-contract", "1:14", "unknown contract type D"),
+    (_contract("", "", "function f() public {} function f() public {}"),
+     "duplicate-function", "1:64", "function f redeclared"),
+    # `new` and contract references
+    (_contract("D d;", "d = new E();") + " " + D,
+     "unknown-contract", "1:42", "unknown contract E"),
+    (_contract("C c;", "c = new C();"),
+     "no-new-root", "1:42", "the root contract cannot be instantiated"),
+    (_contract(MAP, "m[msg.sender] = new D();") + " " + D,
+     "new-target-variable", "1:65", "`new` must assign to a contract-reference variable"),
+    (_contract("uint x;", "x = new D();") + " " + D,
+     "new-target-variable", "1:45", "x is not a contract-reference state variable"),
+    (_contract("D d;", "d = new E();") + " " + D + " " + E,
+     "type-mismatch", "1:42", "d holds D, not E"),
+    (_contract("D a; D b;", "a = new D(); b = new D();") + " " + D,
+     "new-exactly-once", "1:60", "D instantiated more than once"),
+    (_holding_d("D e;", "require(address(e) == msg.sender);"),
+     "unbound-contract-ref", "1:100", "e is never bound by `new`"),
+    (_holding_d("D e;", "e.g();"),
+     "unbound-contract-ref", "1:84", "e is never bound by `new`"),
+    (_holding_d("", "uint l; l = d;"),
+     "type-mismatch", "1:88", "cannot assign ref:D to num variable l"),
+    (_holding_d("", "d = msg.sender;"),
+     "type-mismatch", "1:80", "contract references are bound with `new`"),
+    (_holding_d("", "d.h();"),
+     "unknown-function", "1:80", "D has no function h"),
+    (_contract("D d;", "d = new D(1);") + " " + D,
+     "arity-mismatch", "1:42", "constructor takes 0 arguments, got 1"),
+    # parameters and locals
+    (_function("", "", "uint a, address a"),
+     "duplicate-variable", "1:60", "parameter a redeclared"),
+    (_function("", "", "mapping(address => uint) m"),
+     "bad-param-type", "1:52", "parameters must be address or numeric"),
+    (_function("", "", "D d"),
+     "bad-param-type", "1:52", "parameters must be address or numeric"),
+    (_function("", "uint a; uint a;"),
+     "duplicate-variable", "1:71", "a redeclared"),
+    (_function("", "uint a;", "uint a"),
+     "duplicate-variable", "1:69", "a redeclared"),
+    (_function("", "mapping(address => uint) l;"),
+     "no-local-mapping", "1:63", "mappings must be state variables"),
+    (_function("", "D l;"),
+     "no-local-contract-ref", "1:63", "contract references must be state variables"),
+    # expressions
+    (_function("uint x;", "x = g();", extra="function g() public {}"),
+     "void-in-expression", "1:74", "calls return nothing and cannot be used as values"),
+    (_function("", "require(z == 1);"),
+     "unknown-variable", "1:71", "unknown variable z"),
+    (_function("", "require(!msg.sender);"),
+     "type-mismatch", "1:71", "'!' needs a numeric operand"),
+    (_function(MAP + " address a;", "a = address(m);"),
+     "no-numeric-cast", "1:105", "numeric values cannot be cast to address"),
+    (_function("uint x;", "require(x[msg.sender] == 1);"),
+     "not-a-mapping", "1:79", "x is not a mapping"),
+    (_function(MAP + " uint y;", "y = m + 1;"),
+     "type-mismatch", "1:104", "'+' needs numeric operands"),
+    (_function(MAP, "require(m < 1);"),
+     "type-mismatch", "1:100", "'<' needs numeric operands"),
+    (_function(MAP, "require(m && true);"),
+     "type-mismatch", "1:100", "'&&' needs boolean operands"),
+    # conditions
+    (_function("", "require(msg.sender);"),
+     "type-mismatch", "1:63", "require needs a boolean condition"),
+    (_function("", "assert(msg.sender);"),
+     "type-mismatch", "1:63", "assert needs a boolean condition"),
+    (_function("", "if (msg.sender) { }"),
+     "type-mismatch", "1:63", "if needs a boolean condition"),
+    (_function("", "while (msg.sender) { }"),
+     "type-mismatch", "1:63", "while needs a boolean condition"),
+    # assignments; with the first ten inputs, every branch of _assign
+    (_function(MAP, "m[1] = 2;"),
+     "map-key-address", "1:91", "mapping keys must be addresses"),
+    (_function("uint x;", "x[msg.sender] = 1;"),
+     "not-a-mapping", "1:71", "x is not a mapping"),
+    (_function(MAP, "m[msg.sender] = msg.sender;"),
+     "type-mismatch", "1:90", "mapping cells hold numeric values"),
+    (_function("", "msg.sender = msg.sender;"),
+     "bad-assign-target", "1:63", "cannot assign to this expression"),
+    (_function("", "address l; l = 1;"),
+     "no-numeric-cast", "1:74", "cannot assign num to addr variable l"),
+    (_function("", "uint l; l = msg.sender;"),
+     "type-mismatch", "1:71", "cannot assign addr to num variable l"),
+    (_function(MAP, "uint l; l = m;"),
+     "type-mismatch", "1:98", "cannot assign map to num variable l"),
+    (_function("", "a = msg.sender;", "address a"),
+     "assign-to-param", "1:72", "parameter a is read-only"),
+    (_function("uint y;", "y = msg.sender;"),
+     "type-mismatch", "1:70", "cannot store address into numeric y"),
+    (_function(MAP, "m = 1;"),
+     "no-map-assign", "1:90", "mappings are written per key"),
+    # calls
+    (_function("", "g();"),
+     "unknown-function", "1:63", "C has no function g"),
+    (_function("", "g(1);", extra="function g() public {}"),
+     "arity-mismatch", "1:63", "g takes 0 arguments, got 1"),
+    (_function("", "g(1);", extra="function g(address a) public {}"),
+     "type-mismatch", "1:63", "argument a must be an address"),
+    (_function("", "g(msg.sender);", extra="function g(uint v) public {}"),
+     "type-mismatch", "1:63", "argument v must be numeric"),
+    (_function("uint x;", "x.g();"),
+     "type-mismatch", "1:70", "only contract references can be called"),
 ])
-def test_validation_rules(src, rule):
+def test_validation_rules(src, rule, pos, message):
     with pytest.raises(ValidationError) as exc:
         msolv.load(src)
     assert exc.value.rule == rule
+    assert str(exc.value) == f"{pos}: [{rule}] {message}"
 
 
 def test_syntax_error_carries_position():
@@ -165,3 +302,16 @@ def test_uninstantiated_contract_rejected():
     with pytest.raises(ValidationError) as exc:
         msolv.load(src)
     assert exc.value.rule == "new-exactly-once"
+    assert str(exc.value) == "1:40: [new-exactly-once] contract B is never instantiated"
+
+
+def test_address_casts_lower_to_the_address():
+    # address(msg.sender) is the sender itself; address(d) is the account
+    # of the contract instance d's `new` binds.
+    bundle = msolv.load(_contract("D d; address a;", "d = new D(); a = address(msg.sender);",
+                                  "function f() public { a = address(d); }") + " " + D)
+    assert bundle.all_functions[(0, "constructor")].body == (
+        ir.SCall((1, "constructor"), (ir.RAddrLit(1),), ()),
+        ir.SRole(0, ir.RClient(0)),
+    )
+    assert bundle.all_functions[(0, "f")].body == (ir.SRole(0, ir.RAddrLit(2)),)

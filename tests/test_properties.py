@@ -60,19 +60,110 @@ def test_names_bind_through_layout(auction):
     assert spec.invariant.roles[0][0] == 0
 
 
-@pytest.mark.parametrize("text,err", [
-    ("(invariant (else (map 0 0)))", SpecSyntaxError),          # not boolean
-    ("(invariant (else (= (map 0 0) 0)))(invariant (else true))", SpecSyntaxError),
-    ("(property (k 1) (xi true) (xi true))", SpecSyntaxError),
-    ("(property (xi true))", SpecSyntaxError),                  # missing (k N)
-    ("(widget 1)", SpecSyntaxError),
-    ("(property (k 1) (guard-lit 0 slot 3) (xi true))", SpecBindingError),
-    ("(property (k 0) (xi (= (map 0 0) 0)))", SpecBindingError),  # slot in k=0
-    ("(invariant (else (= (data nosuch) 0)))", SpecBindingError),
+def _else(expr: str) -> str:
+    return f"(invariant (else {expr}))"
+
+
+# One input per message parse_spec gives with a layout.
+@pytest.mark.parametrize("text,err,message", [
+    ("(invariant (else (map 0 0)))", SpecSyntaxError,            # not boolean
+     "predicate must be boolean: (map 0 0)"),
+    ("(invariant (else (= (map 0 0) 0)))(invariant (else true))", SpecSyntaxError,
+     "a spec file may hold at most one invariant"),
+    ("(property (k 1) (xi true) (xi true))", SpecSyntaxError,
+     "property has two (xi ...) forms"),
+    ("(property (xi true))", SpecSyntaxError,                     # missing (k N)
+     "property must start with (k INT)"),
+    ("(widget 1)", SpecSyntaxError, "unknown top-level form 'widget'"),
+    ("(property (k 1) (guard-lit 0 slot 3) (xi true))", SpecBindingError,
+     "guard slot 3 out of range for k=1"),
+    ("(property (k 0) (xi (= (map 0 0) 0)))", SpecBindingError,     # slot in k=0
+     "predicate uses slot 0 but only 0 user slot(s) are bound"),
+    ("(invariant (else (= (data nosuch) 0)))", SpecBindingError,
+     "unknown data name 'nosuch'"),
+    # reading
+    ("(invariant (else true)))", SpecSyntaxError, "unbalanced ')'"),
+    ("(invariant (else true)", SpecSyntaxError, "unbalanced '('"),
+    (_else("(= (map 0 0) " + "9" * 5000 + ")"), SpecSyntaxError,
+     "numeral of 5000 digits is too long"),
+    # names and indices
+    (_else("(= (data 7) 0)"), SpecBindingError, "data index 7 out of range"),
+    (_else("(= (map 0 3) 0)"), SpecBindingError, "map index 3 out of range"),
+    ("(invariant (role 4 true) (else true))", SpecBindingError, "role index 4 out of range"),
+    (_else("(= (map 0 nosuch) 0)"), SpecBindingError, "unknown map name 'nosuch'"),
+    ("(invariant (role nosuch true) (else true))", SpecBindingError,
+     "unknown role name 'nosuch'"),
+    # expressions
+    (_else("foo"), SpecSyntaxError, "bad expression foo"),
+    (_else("()"), SpecSyntaxError, "bad expression ()"),
+    (_else("(= (data) 0)"), SpecSyntaxError, "(data INDEX)"),
+    (_else("(= (map 0) 0)"), SpecSyntaxError, "(map SLOT INDEX)"),
+    (_else("(= (map x 0) 0)"), SpecSyntaxError, "(map SLOT INDEX)"),
+    (_else("(= (map -1 0) 0)"), SpecSyntaxError, "map slot must be non-negative"),
+    (_else("(= (+ 1) 0)"), SpecSyntaxError, "(+ ...) needs at least two operands"),
+    (_else("(= (/ 1) 0)"), SpecSyntaxError, "(/ ...) needs at least two operands"),
+    (_else("(= (/ 1 2 3) 0)"), SpecSyntaxError, "(/ A B) is binary"),
+    (_else("(= (/ 1 2 true) 0)"), SpecSyntaxError,  # operands compile first
+     "expected a numeric expression: true"),
+    (_else("(= 1)"), SpecSyntaxError, "(= A B) is binary"),
+    (_else("(< true 1 2)"), SpecSyntaxError, "(< A B) is binary"),
+    (_else("(and)"), SpecSyntaxError, "(and) needs operands"),
+    (_else("(or)"), SpecSyntaxError, "(or) needs operands"),
+    (_else("(and true 1)"), SpecSyntaxError, "expected a boolean expression: 1"),
+    (_else("(not true true)"), SpecSyntaxError, "(not A) is unary"),
+    (_else("(=> true)"), SpecSyntaxError, "(=> A B) is binary"),
+    (_else("(xor true true)"), SpecSyntaxError, "unknown operator 'xor'"),
+    ("(property (k 1) (xi (= (map 1 0) 0)))", SpecBindingError,
+     "predicate uses slot 1 but only 1 user slot(s) are bound"),
+    # forms
+    ("7", SpecSyntaxError, "expected (property ...) or (invariant ...)"),
+    ("(property (k -1) (xi true))", SpecSyntaxError, "(k INT) with INT >= 0"),
+    ("(property (k 1) 5 (xi true))", SpecSyntaxError, "bad property item 5"),
+    ("(property (k 1) (guard-lit 0 0) (xi true))", SpecSyntaxError,
+     "(guard-lit X slot INT)"),
+    ("(property (k 1) (guard-role 0 place 0) (xi true))", SpecSyntaxError,
+     "(guard-role X slot INT)"),
+    ("(property (k 0) (guard-lit 0 slot 0) (xi true))", SpecBindingError,
+     "guard slot 0 out of range for k=0"),
+    ("(property (k 1) (guard-lit -2 slot 0) (xi true))", SpecSyntaxError,
+     "literal guards take a non-negative address"),
+    ("(property (k 1) (guard-role nosuch slot 0) (xi true))", SpecBindingError,
+     "unknown role name 'nosuch'"),
+    ("(property (k 1) (xi))", SpecSyntaxError, "(xi EXPR)"),
+    ("(property (k 1) (widget) (xi true))", SpecSyntaxError,
+     "unknown property item 'widget'"),
+    ("(property (k 1))", SpecSyntaxError, "property needs an (xi EXPR)"),
+    ("(invariant 5 (else true))", SpecSyntaxError, "bad invariant item 5"),
+    ("(invariant (lit 0) (else true))", SpecSyntaxError, "(lit ADDRESS EXPR)"),
+    ("(invariant (role 0) (else true))", SpecSyntaxError, "(role INDEX EXPR)"),
+    ("(invariant (else))", SpecSyntaxError, "(else EXPR)"),
+    ("(invariant (else true) (else true))", SpecSyntaxError,
+     "invariant has two (else ...) forms"),
+    ("(invariant (widget) (else true))", SpecSyntaxError, "unknown invariant item 'widget'"),
+    ("(invariant)", SpecSyntaxError, "invariant needs an (else EXPR)"),
 ])
-def test_spec_errors(text, err, auction):
-    with pytest.raises(err):
+def test_spec_errors(text, err, message, auction):
+    with pytest.raises(err) as exc:
         parse_spec(text, auction.layout)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    (_else("(= (data nosuch) 0)"), "cannot bind data name 'nosuch' without a layout"),
+    (_else("(= (map 0 nosuch) 0)"), "cannot bind map name 'nosuch' without a layout"),
+    ("(invariant (role nosuch true) (else true))",
+     "cannot bind role name 'nosuch' without a layout"),
+])
+def test_spec_names_need_a_layout(text, message):
+    with pytest.raises(SpecBindingError) as exc:
+        parse_spec(text)
+    assert str(exc.value) == message
+
+
+def test_predicate_text_is_one_expression():
+    with pytest.raises(SpecSyntaxError) as exc:
+        parse_predicate("true false")
+    assert str(exc.value) == "expected exactly one expression"
 
 
 def test_conflicting_guards_warn():

@@ -59,6 +59,16 @@ def _cases() -> list[list[str]]:
     for width in ("1", "2"):
         cases.append(["check", "relay.msol", "relay.spec", "--width", width])
     cases.append(["oracle", "relay.msol", "relay.spec", "--users", "4", "--width", "1"])
+    # Verdict paths the runs above never render: the error state in a local
+    # trace, the oracle's state budget, and a property that fails on the
+    # initial state, in both searches.
+    cases.append(["check", "relay.msol", "relay.spec", "--width", "2", "--assume-invariant"])
+    cases.append(["oracle", "relay.msol", "relay.spec", "--users", "4", "--width", "2"])
+    cases.append(["oracle", "auction.msol", "auction.spec", "--users", "4", "--width", "3",
+                  "--budget-states", "50"])
+    cases.append(["check", "auction.msol", "init_false.spec", "--width", "1",
+                  "--assume-invariant"])
+    cases.append(["oracle", "auction.msol", "init_false.spec", "--users", "3", "--width", "1"])
     return cases
 
 
