@@ -77,16 +77,20 @@ def _err(rule: str, msg: str, node) -> ValidationError:
     return ValidationError(rule, msg, pos.line, pos.col)
 
 
+def _bound(ref: A.Name, account: ir.RAddrLit | None) -> ir.RAddrLit:
+    """The account a contract reference's `new` binds."""
+    if account is None:
+        raise _err("unbound-contract-ref", f"{ref.ident} is never bound by `new`", ref)
+    return account
+
+
 class _ContractInfo:
     def __init__(self, index: int, decl: A.ContractDecl):
         self.index = index
         self.decl = decl
-        self.var_kind: dict[str, str] = {}        # name -> num/addr/map/ref
-        self.var_ref_target: dict[str, str] = {}  # contract-ref var -> contract name
-        self.role_index: dict[str, int] = {}
-        self.data_index: dict[str, int] = {}
-        self.map_index: dict[str, int] = {}
-        self.ref_binding: dict[str, int] = {}     # contract-ref var -> instance index
+        # State variable -> (kind, what a use lowers to): RRole, RData, a map index,
+        # or for kind "ref:<Contract>" the RAddrLit its `new` binds (None until then).
+        self.scope: dict[str, tuple[str, object]] = {}
         self.functions: dict[str, A.FunctionDecl] = {}
 
 
@@ -131,28 +135,24 @@ class _Validator:
         names = {c.name for c in self.unit.contracts}
         for info in self.contracts:
             for var in info.decl.state_vars:
-                if var.name in info.var_kind:
+                if var.name in info.scope:
                     raise _err("duplicate-variable", f"state variable {var.name} redeclared", var)
                 label = f"{info.decl.name}.{var.name}" if qualify else var.name
                 kind = var.typ.kind
                 if kind == "address":
-                    info.var_kind[var.name] = _ADDRESS
-                    info.role_index[var.name] = len(self.roles)
+                    info.scope[var.name] = _ADDRESS, ir.RRole(len(self.roles))
                     self.roles.append(label)
                 elif kind in ("uint", "bool"):
-                    info.var_kind[var.name] = _NUMERIC
-                    info.data_index[var.name] = len(self.data)
+                    info.scope[var.name] = _NUMERIC, ir.RData(len(self.data))
                     self.data.append(label)
                 elif kind == "mapping":
-                    info.var_kind[var.name] = _MAPPING
-                    info.map_index[var.name] = len(self.maps)
+                    info.scope[var.name] = _MAPPING, len(self.maps)
                     self.maps.append(label)
                 else:  # contract reference
                     if var.typ.contract not in names:
                         raise _err("unknown-contract",
                                    f"unknown contract type {var.typ.contract}", var)
-                    info.var_kind[var.name] = "ref"
-                    info.var_ref_target[var.name] = var.typ.contract
+                    info.scope[var.name] = f"ref:{var.typ.contract}", None
             for fn in info.decl.functions:
                 if fn.name in info.functions or fn.name == "constructor":
                     raise _err("duplicate-function", f"function {fn.name} redeclared", fn)
@@ -161,7 +161,7 @@ class _Validator:
 
     def _bind_instances(self) -> None:
         """Resolve `new` sites: each non-root contract instantiated exactly once."""
-        instantiated: dict[str, tuple[_ContractInfo, str]] = {}
+        instantiated: set[str] = set()
         for info in self.contracts:
             for fn in [info.decl.constructor, *info.decl.functions]:
                 for node in A.walk(fn):
@@ -180,18 +180,19 @@ class _Validator:
                         raise _err("new-target-variable",
                                    "`new` must assign to a contract-reference variable", node)
                     tgt = node.target.ident
-                    if info.var_kind.get(tgt) != "ref":
+                    kind, _ = info.scope.get(tgt, ("", None))
+                    if not kind.startswith("ref:"):
                         raise _err("new-target-variable",
                                    f"{tgt} is not a contract-reference state variable", node)
-                    if info.var_ref_target[tgt] != node.contract:
-                        raise _err("type-mismatch",
-                                   f"{tgt} holds {info.var_ref_target[tgt]}, not {node.contract}",
+                    if kind != f"ref:{node.contract}":
+                        raise _err("type-mismatch", f"{tgt} holds {kind[4:]}, not {node.contract}",
                                    node)
                     if node.contract in instantiated:
                         raise _err("new-exactly-once",
                                    f"{node.contract} instantiated more than once", node)
-                    instantiated[node.contract] = (info, tgt)
-                    info.ref_binding[tgt] = self.by_name[node.contract].index
+                    instantiated.add(node.contract)
+                    account = ROOT_ACCOUNT + self.by_name[node.contract].index
+                    info.scope[tgt] = kind, ir.RAddrLit(account)
         for info in self.contracts[1:]:
             if info.decl.name not in instantiated:
                 raise _err("new-exactly-once",
@@ -206,20 +207,26 @@ class _FunctionLowering:
         self.info = info
         self.fn = fn
         self.this = ir.RAddrLit(ROOT_ACCOUNT + info.index)
-        self.client_slot: dict[str, int] = {}
-        self.arg_index: dict[str, int] = {}
-        self.locals: dict[str, tuple[int, str]] = {}  # name -> (slot, kind)
+        # The contract's scope with parameters (RClient, RArg) and locals
+        # (RLocal) laid over it; `own` holds the names the function declares.
+        self.scope = dict(info.scope)
+        self.own: set[str] = set()
+        self.n_locals = 0
+
+    def _claim(self, decl: A.Param | A.VarDecl, what: str = "") -> None:
+        if decl.name in self.own:
+            raise _err("duplicate-variable", f"{what}{decl.name} redeclared", decl)
+        self.own.add(decl.name)
 
     def run(self) -> ir.IRFunction:
         n_clients, n_args = 1, 0  # slot 0 is msg.sender
         for p in self.fn.params:
-            if p.name in self.client_slot or p.name in self.arg_index:
-                raise _err("duplicate-variable", f"parameter {p.name} redeclared", p)
+            self._claim(p, "parameter ")
             if p.typ.kind == "address":
-                self.client_slot[p.name] = n_clients
+                self.scope[p.name] = _ADDRESS, ir.RClient(n_clients)
                 n_clients += 1
             elif p.typ.kind in ("uint", "bool"):
-                self.arg_index[p.name] = n_args
+                self.scope[p.name] = _NUMERIC, ir.RArg(n_args)
                 n_args += 1
             else:
                 raise _err("bad-param-type",
@@ -229,7 +236,7 @@ class _FunctionLowering:
             name=self.fn.name,
             n_clients=n_clients,
             n_args=n_args,
-            n_locals=len(self.locals),
+            n_locals=self.n_locals,
             body=body,
         )
 
@@ -256,7 +263,7 @@ class _FunctionLowering:
         if isinstance(e, A.AddressCast):
             return self._cast(e)
         if isinstance(e, A.Index):
-            return self._index(e)
+            return _NUMERIC, ir.RMapRead(*self._cell(e))
         if isinstance(e, A.Binary):
             return self._binary(e)
         if isinstance(e, (A.Call, A.MemberCall)):
@@ -264,36 +271,21 @@ class _FunctionLowering:
         raise _err("internal", f"unhandled expression {type(e).__name__}", e)
 
     def _name(self, e: A.Name) -> tuple[str, object]:
-        n = e.ident
-        if n in self.locals:
-            slot, kind = self.locals[n]
-            return kind, ir.RLocal(slot, kind == _ADDRESS)
-        if n in self.client_slot:
-            return _ADDRESS, ir.RClient(self.client_slot[n])
-        if n in self.arg_index:
-            return _NUMERIC, ir.RArg(self.arg_index[n])
-        info = self.info
-        kind = info.var_kind.get(n)
-        if kind == _ADDRESS:
-            return _ADDRESS, ir.RRole(info.role_index[n])
-        if kind == _NUMERIC:
-            return _NUMERIC, ir.RData(info.data_index[n])
-        if kind == _MAPPING:
-            return _MAPPING, ("map", info.map_index[n])
-        if kind == "ref":
-            return f"ref:{info.var_ref_target[n]}", ("state-ref", n)
-        raise _err("unknown-variable", f"unknown variable {n}", e)
+        entry = self.scope.get(e.ident)
+        if entry is None:
+            raise _err("unknown-variable", f"unknown variable {e.ident}", e)
+        return entry
 
     def _cast(self, e: A.AddressCast) -> tuple[str, object]:
         kind, inner = self._expr(e.operand)
         if kind == _ADDRESS:
             return _ADDRESS, inner
         if kind.startswith("ref:"):
-            idx = self._ref_instance(e.operand)
-            return _ADDRESS, ir.RAddrLit(ROOT_ACCOUNT + idx)
+            return _ADDRESS, _bound(e.operand, inner)
         raise _err("no-numeric-cast", "numeric values cannot be cast to address", e)
 
-    def _index(self, e: A.Index) -> tuple[str, object]:
+    def _cell(self, e: A.Index) -> tuple[int, object]:
+        """The map index and the lowered key of a mapping cell."""
         if not isinstance(e.base, A.Name):
             raise _err("map-single-dim", "only one-dimensional mappings exist", e)
         kind, base = self._expr(e.base)
@@ -302,7 +294,7 @@ class _FunctionLowering:
         kkind, key = self._expr(e.key)
         if kkind != _ADDRESS:
             raise _err("map-key-address", "mapping keys must be addresses", e)
-        return _NUMERIC, ir.RMapRead(base[1], key)
+        return base, key
 
     def _binary(self, e: A.Binary) -> tuple[str, object]:
         lk, left = self._expr(e.left)
@@ -331,15 +323,6 @@ class _FunctionLowering:
             return _NUMERIC, ir.RBin(e.op, left, right)
         raise _err("internal", f"unhandled operator {e.op}", e)
 
-    def _ref_instance(self, target: A.Expr) -> int:
-        if not isinstance(target, A.Name):
-            raise _err("type-mismatch", "contract references must be named variables", target)
-        binding = self.info.ref_binding.get(target.ident)
-        if binding is None:
-            raise _err("unbound-contract-ref",
-                       f"{target.ident} is never bound by `new`", target)
-        return binding
-
     # -- statements ------------------------------------------------------
 
     def _stmts(self, stmts: tuple[A.Stmt, ...]) -> tuple:
@@ -347,8 +330,7 @@ class _FunctionLowering:
 
     def _stmt(self, s: A.Stmt):
         if isinstance(s, A.VarDecl):
-            if s.name in self.locals or s.name in self.client_slot or s.name in self.arg_index:
-                raise _err("duplicate-variable", f"{s.name} redeclared", s)
+            self._claim(s)
             k = s.typ.kind
             if k == "mapping":
                 raise _err("no-local-mapping", "mappings must be state variables", s)
@@ -356,8 +338,8 @@ class _FunctionLowering:
                 raise _err("no-local-contract-ref",
                            "contract references must be state variables", s)
             kind = _ADDRESS if k == "address" else _NUMERIC
-            slot = len(self.locals)
-            self.locals[s.name] = (slot, kind)
+            slot, self.n_locals = self.n_locals, self.n_locals + 1
+            self.scope[s.name] = kind, ir.RLocal(slot, kind == _ADDRESS)
             return ir.SLocal(slot, ir.RNum(0))  # zero-initialized
         if isinstance(s, A.Require):
             return ir.SRequire(self._cond(s, "require"))
@@ -385,35 +367,33 @@ class _FunctionLowering:
 
     def _assign(self, s: A.Assign):
         if isinstance(s.target, A.Index):
-            _, mapread = self._index(s.target)
+            cell = self._cell(s.target)
             vk, value = self._expr(s.value)
             if vk != _NUMERIC:
                 raise _err("type-mismatch", "mapping cells hold numeric values", s)
-            return ir.SMapWrite(mapread.map_index, mapread.key, value)
+            return ir.SMapWrite(*cell, value)
         if not isinstance(s.target, A.Name):
             raise _err("bad-assign-target", "cannot assign to this expression", s)
         name = s.target.ident
         vk, value = self._expr(s.value)
-        if name in self.locals:
-            slot, kind = self.locals[name]
+        kind, place = self.scope.get(name, (None, None))
+        if isinstance(place, ir.RLocal):
             if kind != vk:
                 rule = "no-numeric-cast" if kind == _ADDRESS and vk == _NUMERIC else "type-mismatch"
                 raise _err(rule, f"cannot assign {vk} to {kind} variable {name}", s)
-            return ir.SLocal(slot, value)
-        if name in self.client_slot or name in self.arg_index:
+            return ir.SLocal(place.slot, value)
+        if isinstance(place, (ir.RClient, ir.RArg)):
             raise _err("assign-to-param", f"parameter {name} is read-only", s)
-        info = self.info
-        kind = info.var_kind.get(name)
         if kind is None:
             raise _err("unknown-variable", f"unknown variable {name}", s)
-        if kind == _ADDRESS:
+        if isinstance(place, ir.RRole):
             if vk != _ADDRESS:
                 raise _err("no-numeric-cast", f"cannot store numeric into address {name}", s)
-            return ir.SRole(info.role_index[name], value)
-        if kind == _NUMERIC:
+            return ir.SRole(place.index, value)
+        if isinstance(place, ir.RData):
             if vk != _NUMERIC:
                 raise _err("type-mismatch", f"cannot store address into numeric {name}", s)
-            return ir.SData(info.data_index[name], value)
+            return ir.SData(place.index, value)
         if kind == _MAPPING:
             raise _err("no-map-assign", "mappings are written per key", s)
         raise _err("type-mismatch", "contract references are bound with `new`", s)
@@ -452,12 +432,11 @@ class _FunctionLowering:
             # Internal call on the same contract: msg.sender is unchanged.
             return self._lower_call(self.info, e.func, e.callargs, s, ir.RClient(0))
         if isinstance(e, A.MemberCall):
-            kind, _ = self._expr(e.target)
+            kind, account = self._expr(e.target)
             if not kind.startswith("ref:"):
                 raise _err("type-mismatch", "only contract references can be called", s)
-            idx = self._ref_instance(e.target)
-            return self._lower_call(self.v.contracts[idx], e.func, e.callargs, s,
-                                    self.this)
+            callee = self.v.contracts[_bound(e.target, account).value - ROOT_ACCOUNT]
+            return self._lower_call(callee, e.func, e.callargs, s, self.this)
         raise _err("bad-statement", "only calls may be used as statements", s)
 
 
