@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -33,28 +34,14 @@ from .validator import VariableLayout
 Sexpr = Union[int, str, list]
 
 
+_COMMENT = re.compile(r";[^\n]*")
+_TOKEN = re.compile(r"[()]|[^\s();]+")
+
+
 def _read_sexprs(text: str) -> list[Sexpr]:
-    toks: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in "()":
-            toks.append(c)
-            i += 1
-        elif c.isspace():
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            toks.append(text[i:j])
-            i = j
     out: list[Sexpr] = []
     stack: list[list] = []
-    for t in toks:
+    for t in _TOKEN.findall(_COMMENT.sub("", text)):
         if t == "(":
             stack.append([])
         elif t == ")":
@@ -90,8 +77,16 @@ def _format_sexpr(s: Sexpr) -> str:
 
 # ---------------------------------------------------------------- predicates
 
-_CMP = {"=", "!=", "<", ">", "<=", ">="}
-_ARITH = {"+", "-", "*", "/"}
+# Each arithmetic operator is a function of its operand values and the
+# domain size; results wrap modulo the domain, and x / 0 is 0.
+_ARITH = {
+    "+": lambda vs, L: sum(vs) % L,
+    "-": lambda vs, L: (vs[0] - sum(vs[1:])) % L,
+    "*": lambda vs, L: math.prod(vs) % L,
+    "/": lambda vs, L: vs[0] // vs[1] % L if vs[1] else 0,
+}
+_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, ">": operator.gt,
+        "<=": operator.le, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -154,50 +149,21 @@ class _PredCompiler:
             if len(s) < 3:
                 raise SpecSyntaxError(f"({head} ...) needs at least two operands")
             parts = [self._num(x) for x in s[1:]]
-            if head == "+":
-                def fn(d, m, L, parts=parts):
-                    v = 0
-                    for p in parts:
-                        v += p(d, m, L)
-                    return v % L
-            elif head == "-":
-                def fn(d, m, L, parts=parts):
-                    v = parts[0](d, m, L)
-                    for p in parts[1:]:
-                        v -= p(d, m, L)
-                    return v % L
-            elif head == "*":
-                def fn(d, m, L, parts=parts):
-                    v = 1
-                    for p in parts:
-                        v = (v * p(d, m, L)) % L
-                    return v
-            else:
-                if len(parts) != 2:
-                    raise SpecSyntaxError("(/ A B) is binary")
-                def fn(d, m, L, parts=parts):
-                    b = parts[1](d, m, L)
-                    return 0 if b == 0 else (parts[0](d, m, L) // b) % L
-            return "num", fn
+            if head == "/" and len(parts) != 2:
+                raise SpecSyntaxError("(/ A B) is binary")
+            arith = _ARITH[head]
+            return "num", lambda d, m, L: arith([p(d, m, L) for p in parts], L)
         if head in _CMP:
             if len(s) != 3:
                 raise SpecSyntaxError(f"({head} A B) is binary")
-            a, b = self._num(s[1]), self._num(s[2])
-            ops = {"=": lambda x, y: x == y, "!=": lambda x, y: x != y,
-                   "<": lambda x, y: x < y, ">": lambda x, y: x > y,
-                   "<=": lambda x, y: x <= y, ">=": lambda x, y: x >= y}[head]
-            return "bool", lambda d, m, L: ops(a(d, m, L), b(d, m, L))
+            cmp, a, b = _CMP[head], self._num(s[1]), self._num(s[2])
+            return "bool", lambda d, m, L: cmp(a(d, m, L), b(d, m, L))
         if head == "and" or head == "or":
             parts = [self._bool(x) for x in s[1:]]
             if not parts:
                 raise SpecSyntaxError(f"({head}) needs operands")
-            if head == "and":
-                def fn(d, m, L, parts=parts):
-                    return all(p(d, m, L) for p in parts)
-            else:
-                def fn(d, m, L, parts=parts):
-                    return any(p(d, m, L) for p in parts)
-            return "bool", fn
+            fold = all if head == "and" else any
+            return "bool", lambda d, m, L: fold(p(d, m, L) for p in parts)
         if head == "not":
             if len(s) != 2:
                 raise SpecSyntaxError("(not A) is unary")
