@@ -82,4 +82,5 @@ class PreconditionUnmet(MsolvError):
 
 
 class ResourceExhausted(MsolvError):
-    """Runaway execution (loop fuel) aborted; a tool error, not a verdict."""
+    """Runaway execution (loop fuel or call depth) aborted; a tool error, not
+    a verdict."""

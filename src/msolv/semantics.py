@@ -10,7 +10,8 @@ Failure modes:
     revert, i.e. the transaction is a no-op;
   * failed ``assert`` or any use of an address value that no current user
     holds: ``BOTTOM``;
-  * runaway loops: :class:`ResourceExhausted` (a tool error, not a state).
+  * runaway loops and call chains deeper than Python's stack:
+    :class:`ResourceExhausted` (a tool error, not a state).
 
 Address values are plain integers. Using an address (equality comparison,
 mapping access, literal evaluation, the implicit zero-account and
@@ -499,6 +500,8 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
     except _Fault:
         store.writes.clear()
         return "bottom", None
+    except RecursionError:  # a call chain deeper than Python's stack
+        raise ResourceExhausted("call depth exhausted") from None
     return "ok", ControlState(tuple(map(int, roles)), tuple(f.data), ctor)
 
 

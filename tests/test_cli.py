@@ -217,14 +217,36 @@ SUPERSCRIPT_TWO, LONG_NUMERAL = "\u00b2", "9" * 5000
         "oracle-nan-budget", "contract-superscript-digit", "contract-long-numeral",
         "spec-superscript-digit", "spec-long-numeral", "spec-double-minus"])
 def test_user_errors_exit_two_with_one_line(capsys, tmp_path, argv, files):
+    code, out, err = _run_with_files(capsys, tmp_path, argv, files)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("msolv: ") and err.count("\n") == 1
+
+
+def _run_with_files(capsys, tmp_path, argv, files):
+    """Run ``argv`` after writing ``files`` (name -> text, bytes or JSON)."""
     for name, content in files.items():
         if isinstance(content, bytes):
             (tmp_path / name).write_bytes(content)
         else:
             (tmp_path / name).write_text(
                 content if isinstance(content, str) else json.dumps(content))
-    argv = [str(tmp_path / a) if a in files else a for a in argv]
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("msolv: ") and err.count("\n") == 1
+    return run(capsys, *[str(tmp_path / a) if a in files else a for a in argv])
+
+
+# f calls itself once per value of x, so at width 16 the chain is deeper
+# than Python's stack; that is a run out of resources, not over-nested input.
+RECURSIVE = "contract C { uint x; constructor() public { } function f() public { x = x + 1; f(); } }"
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["simulate", "c.msol", "--width", "16", "--trace", "t.json"],
+     {"c.msol": RECURSIVE, "t.json": [{"tx": "constructor", "clients": [2]},
+                                      {"tx": "f", "clients": [2]}]}),
+    (["check", "c.msol", "s.spec", "--width", "16"],
+     {"c.msol": RECURSIVE, "s.spec": "(invariant (else true)) (property (k 1) (xi true))"}),
+], ids=["simulate", "check"])
+def test_deep_recursion_exhausts_call_depth(capsys, tmp_path, argv, files):
+    code, out, err = _run_with_files(capsys, tmp_path, argv, files)
+    assert (code, out) == (2, "")
+    assert err == "msolv: ResourceExhausted: call depth exhausted\n"
