@@ -112,15 +112,11 @@ class MemberCall(Node):
     callargs: tuple[Expr, ...]
 
 
-Expr = Union[
-    IntLit, BoolLit, AddressLit, Name, This, MsgSender,
-    Binary, Not, AddressCast, Index, Call, MemberCall,
-]
-
 EXPR_NODE_TYPES = (
     IntLit, BoolLit, AddressLit, Name, This, MsgSender,
     Binary, Not, AddressCast, Index, Call, MemberCall,
 )
+Expr = Union[EXPR_NODE_TYPES]
 
 
 # ---------------------------------------------------------------- statements
@@ -178,9 +174,8 @@ class ExprStmt(Node):
     expr: Expr
 
 
-Stmt = Union[VarDecl, Assign, NewAssign, Require, Assert, Return, If, While, ExprStmt]
-
 STMT_NODE_TYPES = (VarDecl, Assign, NewAssign, Require, Assert, Return, If, While, ExprStmt)
+Stmt = Union[STMT_NODE_TYPES]
 
 
 # ---------------------------------------------------------------- declarations

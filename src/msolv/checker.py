@@ -32,6 +32,7 @@ from .validator import ContractBundle
 
 DEFAULT_BUDGET_STATES = 10_000_000
 DEFAULT_BUDGET_SECS = 60.0
+DEFAULT_ORACLE_BUDGET_SECS = 300.0
 
 
 @dataclass(frozen=True)
@@ -403,7 +404,7 @@ def check_safety(bundle: ContractBundle, ptg: PtGraph, theta: SplitInvariant,
 
 def global_oracle(bundle: ContractBundle, n: int, phi: GuardedProperty,
                   domain: DataDomain, *, budget_states: int = DEFAULT_BUDGET_STATES,
-                  budget_secs: float = 300.0) -> Verdict:
+                  budget_secs: float = DEFAULT_ORACLE_BUDGET_SECS) -> Verdict:
     """Ground truth at a fixed network size: exhaustive breadth-first search
     of the concrete bundle over addresses 0..n-1, checking the property at
     every reachable state."""

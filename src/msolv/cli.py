@@ -15,7 +15,8 @@ import json
 import sys
 
 from . import ast_nodes
-from .checker import (Verdict, check_compositional, check_safety, global_oracle,
+from .checker import (DEFAULT_BUDGET_SECS, DEFAULT_BUDGET_STATES, DEFAULT_ORACLE_BUDGET_SECS,
+                      Verdict, check_compositional, check_safety, global_oracle,
                       verdict_to_json, _action_json, _state_json)
 from .errors import InputError, MsolvError, TooFewUsers
 from .localization import rule_neighbourhood
@@ -64,8 +65,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     sp = command("check", _cmd_check, "compositionality then safety proof rules",
                  spec=True, width=True, fmt=True)
-    sp.add_argument("--budget-states", type=int, default=10_000_000, metavar="S")
-    sp.add_argument("--budget-secs", type=float, default=60.0, metavar="T")
+    sp.add_argument("--budget-states", type=int, default=DEFAULT_BUDGET_STATES, metavar="S")
+    sp.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS, metavar="T")
     sp.add_argument("--assume-invariant", action="store_true",
                     help="skip the compositionality gate and run the safety "
                          "rule directly; Safe then certifies the local bundle "
@@ -74,8 +75,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     sp = command("oracle", _cmd_oracle, "exhaustive check at a fixed user count",
                  spec=True, width=True, fmt=True)
     sp.add_argument("--users", type=int, default=4, metavar="N")
-    sp.add_argument("--budget-states", type=int, default=10_000_000, metavar="S")
-    sp.add_argument("--budget-secs", type=float, default=300.0, metavar="T")
+    sp.add_argument("--budget-states", type=int, default=DEFAULT_BUDGET_STATES, metavar="S")
+    sp.add_argument("--budget-secs", type=float, default=DEFAULT_ORACLE_BUDGET_SECS, metavar="T")
     return p
 
 

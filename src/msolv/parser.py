@@ -122,11 +122,8 @@ class _Parser:
     def parse_stmt(self) -> A.Stmt:
         pos = self.pos()
         k = self.peek().kind
-        if k in ("uint", "bool", "mapping") or (k == "address" and self.peek(1).kind == "ident"):
-            d = self.parse_decl()
-            self.expect(";")
-            return d
-        if k == "ident" and self.peek(1).kind == "ident":
+        if (k in ("uint", "bool", "mapping")
+                or (k in ("address", "ident") and self.peek(1).kind == "ident")):
             d = self.parse_decl()
             self.expect(";")
             return d
