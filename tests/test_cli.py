@@ -172,6 +172,17 @@ def test_syntax_error_exit_two(capsys, tmp_path):
     assert "MicroSolSyntaxError" in err
 
 
+def _run_with_files(capsys, tmp_path, argv, files):
+    """Run ``argv`` after writing ``files`` (name -> text, bytes or JSON)."""
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(
+                content if isinstance(content, str) else json.dumps(content))
+    return run(capsys, *[str(tmp_path / a) if a in files else a for a in argv])
+
+
 def _simulate(trace, *options):
     return ["simulate", AUCTION, *options, "--trace", "trace.json"], {"trace.json": trace}
 
@@ -221,17 +232,6 @@ def test_user_errors_exit_two_with_one_line(capsys, tmp_path, argv, files):
     assert code == 2
     assert out == ""
     assert err.startswith("msolv: ") and err.count("\n") == 1
-
-
-def _run_with_files(capsys, tmp_path, argv, files):
-    """Run ``argv`` after writing ``files`` (name -> text, bytes or JSON)."""
-    for name, content in files.items():
-        if isinstance(content, bytes):
-            (tmp_path / name).write_bytes(content)
-        else:
-            (tmp_path / name).write_text(
-                content if isinstance(content, str) else json.dumps(content))
-    return run(capsys, *[str(tmp_path / a) if a in files else a for a in argv])
 
 
 # f calls itself once per value of x, so at width 16 the chain is deeper
