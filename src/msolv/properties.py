@@ -77,9 +77,7 @@ def _format_sexpr(s: Sexpr) -> str:
 
 # ---------------------------------------------------------------- predicates
 
-# Each arithmetic operator is a function of its operand values and the
-# domain size; results wrap modulo the domain, and x / 0 is 0.
-_ARITH = {
+_ARITH = {  # operand values, domain size -> value
     "+": lambda vs, L: sum(vs) % L,
     "-": lambda vs, L: (vs[0] - sum(vs[1:])) % L,
     "*": lambda vs, L: math.prod(vs) % L,
