@@ -277,6 +277,65 @@ def test_undeclared_transaction_is_unknown(auction, w8, ctor_done, sender):
         explore(auction, control, (0, 1, 2, 3), [((0,),)] * 4, action, w8)
 
 
+def _guard_decision(ids, sender, ctor_done, tx):
+    """The implicit guards, written out: the settled outcome (None when the
+    body runs) and the uses the guards log on the way."""
+    uses = {sender: {("explicit", 0)}}
+    if sender not in ids:
+        return "bottom", uses
+    for acct in (0, 1):  # the zero account, then auction's contract account
+        uses.setdefault(acct, set()).add(("implicit", acct))
+        if acct not in ids:
+            return "bottom", uses
+        if acct == sender:
+            return "revert", uses
+    if (tx == "constructor") == bool(ctor_done):
+        return "revert", uses
+    return None, uses
+
+
+@pytest.mark.parametrize("ids", [(0, 1, 2, 3), (1, 2, 3), (0, 2, 3), (2, 3)])
+@pytest.mark.parametrize("sender", [5, 0, 1, 2])
+@pytest.mark.parametrize("ctor_done", [0, 1])
+@pytest.mark.parametrize("name", ["constructor", "stop"])
+def test_implicit_guard_table(auction, w2, ids, sender, ctor_done, name):
+    """Every guard decision, in step and in explore with and without the use
+    log. A settled call gives one leaf that read and wrote nothing; a body
+    run of the constructor, or of stop from the manager, commits."""
+    control = ControlState((2,), (0, 0, 0), ctor_done)
+    state = BundleState(control, tuple(UserRecord(a, (0,)) for a in ids))
+    action = Action(name, (sender, 3) if name == "constructor" else (sender,), ())
+    settled, guard_uses = _guard_decision(ids, sender, ctor_done, name)
+    body_post = (ControlState((3,), (0, 0, 0), 1) if name == "constructor"
+                 else ControlState((2,), (0, 1, 0), 1))
+
+    post = step(auction, state, action, w2)
+    if settled == "revert":
+        assert post is state
+    elif settled == "bottom":
+        assert post == BundleState(BOTTOM, state.users)
+    else:
+        assert post == BundleState(body_post, state.users)
+
+    vectors = tuple((v,) for v in w2.values())
+    for log_uses in (False, True):
+        leaves = explore(auction, control, ids, [vectors] * len(ids), action, w2,
+                         log_uses=log_uses)
+        if settled is None:
+            assert leaves and all(leaf.outcome == "ok" and leaf.control_after == body_post
+                                  for leaf in leaves)
+            if log_uses:
+                for leaf in leaves:
+                    for a, origins in guard_uses.items():
+                        assert origins <= leaf.uses[a]
+            continue
+        (leaf,) = leaves
+        assert leaf.outcome == settled
+        assert leaf.assignment == {} and leaf.writes == {}
+        assert leaf.control_after == (control if settled == "revert" else None)
+        assert leaf.uses == (guard_uses if log_uses else {})
+
+
 def test_explore_over_singleton_domains_agrees_with_step(auction, w2):
     """One leaf per action, and its outcome, control and writes rebuild the
     post-state of step. Roles may name an absent user, so bottom occurs."""
