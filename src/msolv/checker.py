@@ -439,7 +439,9 @@ def global_oracle(bundle: ContractBundle, n: int, phi: GuardedProperty,
                 for act in actions:
                     post = step(bundle, st, act, domain)
                     transitions += 1
-                    if post in parents:
+                    # A revert returns the state itself, which is already in
+                    # parents; the identity test spares hashing it.
+                    if post is st or post in parents:
                         continue
                     parents[post] = (st, act)
                     if post.is_bottom:

@@ -18,6 +18,12 @@ mapping access, literal evaluation, the implicit zero-account and
 contract-account guards) requires a user with that id to exist. Mapping
 cells travel with the user's id, not the user's slot, which is what makes
 address swaps commute with transactions.
+
+The implicit guards read only the sender, the transaction name,
+``ctor_done`` and which ids are present, so :func:`_settle` decides them
+before any store or frame is built: once per :func:`step` call and once per
+:func:`explore` call, never again for a replay after a fork. Only a
+transaction they let through runs its body, in :func:`_run_transaction`.
 """
 
 from __future__ import annotations
@@ -431,7 +437,7 @@ class _CompiledFunction:
 class _CompiledBundle:
     def __init__(self, bundle: ContractBundle):
         # The senders the implicit guards turn away.
-        self.guards = tuple(map(_implicit, (ZERO_ACCOUNT, *bundle.contract_accounts)))
+        self.guards = (ZERO_ACCOUNT, *bundle.contract_accounts)
         self.functions = {key: _CompiledFunction(fn)
                           for key, fn in bundle.all_functions.items()}
 
@@ -455,20 +461,50 @@ def _slot_of(ids: tuple[int, ...]) -> dict[int, int]:
     return m
 
 
+def _settle(cb: _CompiledBundle, control: ControlState, slot_of: dict[int, int],
+            action: Action, uses) -> str | None:
+    """The implicit guards, decided from the sender, the transaction name,
+    ``ctor_done`` and which ids are present, before any store or frame
+    exists. Returns the outcome they settle the transaction with, "bottom"
+    or "revert", or None when its body must run. When ``uses`` is a dict,
+    the addresses the guards use are logged into it.
+
+    In order: an undeclared transaction is an error; an unrepresented
+    sender faults; then for each guard account (the zero account, then the
+    contract accounts) an unrepresented account faults and one equal to the
+    sender reverts; last, the constructor runs once and only once, and
+    nothing else runs before it.
+    """
+    if (0, action.tx) not in cb.functions:
+        raise UnknownFunction(action.tx)
+    sender = action.clients[0]
+    if uses is not None:
+        uses[sender] = {("explicit", 0)}
+    if sender not in slot_of:
+        return "bottom"
+    for acct in cb.guards:
+        if uses is not None:
+            uses.setdefault(acct, set()).add(("implicit", acct))
+        if acct not in slot_of:
+            return "bottom"
+        if sender == acct:
+            return "revert"
+    if action.tx == "constructor":
+        return "revert" if control.ctor_done else None
+    return None if control.ctor_done else "revert"
+
+
 def _run_transaction(cb: _CompiledBundle, control: ControlState,
                      slot_of: dict[int, int], store: _Store, action: Action,
                      limit: int, uses) -> tuple[str, ControlState | None]:
-    """Execute one transaction from ``control``. Returns ``(outcome,
-    control_after)`` as :class:`Leaf` has them and leaves in ``store`` the
-    writes of an "ok" run, none otherwise.
+    """Run the body of a transaction that :func:`_settle` let through, from
+    ``control``. Returns ``(outcome, control_after)`` as :class:`Leaf` has
+    them and leaves in ``store`` the writes of an "ok" run, none otherwise.
 
     A read of a slot the store has no vector for raises NeedChoice. When
     ``uses`` is a dict, every use is logged with its provenance: clients
     and roles are tagged here, fixed addresses when they are compiled.
     """
-    fn = cb.functions.get((0, action.tx))
-    if fn is None:
-        raise UnknownFunction(action.tx)
     roles = list(control.roles)
     f = _Frame(roles, list(control.data), slot_of, store, limit, uses, cb.functions)
     clients = action.clients
@@ -478,22 +514,7 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
         for i, v in enumerate(roles):
             roles[i] = TaggedAddress(v, (("transient", i),))
     try:
-        # Implicit guards: transactions from the zero account or a contract
-        # account are no-ops; an unrepresented address (the sender included)
-        # is a fault.
-        sender = f.use_address(clients[0])
-        for acct in cb.guards:
-            if sender == f.use_address(acct):
-                return "revert", control
-        if action.tx == "constructor":
-            if control.ctor_done:
-                return "revert", control  # the constructor runs once and only once
-            ctor = 1
-        elif not control.ctor_done:
-            return "revert", control  # nothing is callable before construction
-        else:
-            ctor = control.ctor_done
-        fn.invoke(f, clients, action.args)
+        cb.functions[(0, action.tx)].invoke(f, clients, action.args)
     except _Revert:
         store.writes.clear()
         return "revert", control
@@ -502,27 +523,33 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
         return "bottom", None
     except RecursionError:  # a call chain deeper than Python's stack
         raise ResourceExhausted("call depth exhausted") from None
-    return "ok", ControlState(tuple(map(int, roles)), tuple(f.data), ctor)
+    # Only a first constructor run or a run after construction gets here.
+    return "ok", ControlState(tuple(map(int, roles)), tuple(f.data), 1)
 
 
 def step(bundle: ContractBundle, state: BundleState, action: Action,
          domain: DataDomain) -> BundleState:
     """Deterministic transition function over full bundle states."""
-    if state.is_bottom:
+    control = state.control
+    if control is BOTTOM:
         raise ValueError("cannot step from the error state")
-    store = _Store({i: u.map_vals for i, u in enumerate(state.users)})
-    outcome, post = _run_transaction(_compiled(bundle), state.control,
-                                     _slot_of(tuple(u.id for u in state.users)),
-                                     store, action, domain.limit, None)
+    cb = _compiled(bundle)
+    users = state.users
+    slot_of = _slot_of(tuple([u.id for u in users]))
+    outcome = _settle(cb, control, slot_of, action, None)
+    if outcome is None:
+        store = _Store({i: u.map_vals for i, u in enumerate(users)})
+        outcome, post = _run_transaction(cb, control, slot_of, store, action,
+                                         domain.limit, None)
+        if outcome == "ok":
+            out = list(users)
+            for slot, cells in store.writes.items():
+                u = out[slot]
+                out[slot] = UserRecord(u.id, apply_writes(u.map_vals, cells))
+            return BundleState(post, tuple(out))
     if outcome == "revert":
         return state
-    if outcome == "bottom":
-        return BundleState(BOTTOM, state.users)
-    users = list(state.users)
-    for slot, cells in store.writes.items():
-        u = users[slot]
-        users[slot] = UserRecord(u.id, apply_writes(u.map_vals, cells))
-    return BundleState(post, tuple(users))
+    return BundleState(BOTTOM, users)
 
 
 # --------------------------------------------------------------------------
@@ -556,11 +583,17 @@ def explore(bundle: ContractBundle, control: ControlState, ids: tuple[int, ...],
     Deterministic order: depth-first, forked values in the given order."""
     cb = _compiled(bundle)
     slot_of = _slot_of(ids)
+    guard_uses = {} if log_uses else None
+    settled = _settle(cb, control, slot_of, action, guard_uses)
+    if settled is not None:
+        return [Leaf({}, settled, control if settled == "revert" else None, {},
+                     guard_uses or {})]
     leaves: list[Leaf] = []
 
     def run(assignment: dict[int, tuple[int, ...]]):
         store = _Store(assignment)
-        uses = {} if log_uses else None
+        uses = None if guard_uses is None else {
+            a: set(origins) for a, origins in guard_uses.items()}
         try:
             outcome, post = _run_transaction(cb, control, slot_of, store, action,
                                              domain.limit, uses)

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import msolv.checker
 from msolv.cli import main
 
 from conftest import DATA
@@ -250,3 +251,31 @@ def test_deep_recursion_exhausts_call_depth(capsys, tmp_path, argv, files):
     code, out, err = _run_with_files(capsys, tmp_path, argv, files)
     assert (code, out) == (2, "")
     assert err == "msolv: ResourceExhausted: call depth exhausted\n"
+
+
+def test_one_interpreter_call_per_counted_transition(capsys, monkeypatch):
+    """Each transition a verdict counts is one oracle step call or one
+    class-engine explore leaf, which the traced benchmark relies on. A
+    search that settles transitions without the interpreter fails here."""
+    calls = {"step": 0, "leaves": 0}
+    step, explore = msolv.checker.step, msolv.checker.explore
+
+    def counting_step(*args):
+        calls["step"] += 1
+        return step(*args)
+
+    def counting_explore(*args):
+        leaves = explore(*args)
+        calls["leaves"] += len(leaves)
+        return leaves
+
+    monkeypatch.setattr(msolv.checker, "step", counting_step)
+    monkeypatch.setattr(msolv.checker, "explore", counting_explore)
+
+    def transitions(out):
+        return sum(v["stats"]["transitions"] for v in json.loads(out).values())
+
+    code, out, _ = run(capsys, "oracle", AUCTION, SPEC, "--users", "4", "--width", "2")
+    assert code == 0 and calls["step"] == transitions(out) > 0
+    code, out, _ = run(capsys, "check", AUCTION, SPEC, "--width", "2")
+    assert code == 0 and calls["leaves"] == transitions(out) > 0

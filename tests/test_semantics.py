@@ -100,15 +100,22 @@ def test_constructor_runs_once(auction, w8):
 
 
 def test_reverting_steps_keep_no_objects_alive(auction, w8):
-    # A revert must not chain its traceback onto a shared exception
-    # instance, or every frame of every reverted transaction stays alive.
-    s = init_state(auction, range(4))
-    early_bid = bid(3, 1)  # reverts: nothing is callable before construction
-    assert step(auction, s, early_bid, w8) == s
+    # A revert or a fault must not chain its traceback onto a shared
+    # exception instance, or every frame of every such transaction stays
+    # alive. Both are raised in a body the guards let through.
+    s = step(auction, init_state(auction, range(4)), ctor(3, 2), w8)
+    low_bid = bid(3, 0)  # reverts: require(amount > leadingBid) fails
+    assert step(auction, s, low_bid, w8) is s
+    faulty = msolv.load("contract R { constructor() public {} "
+                        "function f(uint a) public { assert(a < 2); } }")
+    r = step(faulty, init_state(faulty, range(3)), Action("constructor", (2,), ()), w8)
+    bad_f = Action("f", (2,), (5,))
+    assert step(faulty, r, bad_f, w8).is_bottom
     gc.collect()
     before = len(gc.get_objects())
     for _ in range(2000):
-        step(auction, s, early_bid, w8)
+        step(auction, s, low_bid, w8)
+        step(faulty, r, bad_f, w8)
     gc.collect()
     grown = len(gc.get_objects()) - before
     assert grown < 100, grown
