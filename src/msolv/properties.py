@@ -129,6 +129,8 @@ class _PredCompiler:
         if not isinstance(s, list) or not s:
             raise SpecSyntaxError(f"bad expression {_format_sexpr(s)}")
         head = s[0]
+        if isinstance(head, list):  # unhashable, so not for the tables below
+            raise SpecSyntaxError(f"bad operator {_format_sexpr(head)}")
         if head == "data":
             if len(s) != 2:
                 raise SpecSyntaxError("(data INDEX)")

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msolv.cli import main
 from msolv.errors import SpecBindingError, SpecSyntaxError
 from msolv.properties import (check_universal, eval_guarded, eval_split,
                               parse_predicate, parse_spec)
 from msolv.semantics import (BundleState, ControlState, DataDomain,
                              UserRecord)
+
+from conftest import DATA
 
 THETA1 = "(invariant (lit 0 (= (map 0 0) 0)) (else (>= (map 0 0) 0)))"
 PHI1 = "(property (k 1) (guard-lit 0 slot 0) (xi (= (map 0 0) 0)))"
@@ -113,6 +116,7 @@ def _else(expr: str) -> str:
     (_else("(not true true)"), SpecSyntaxError, "(not A) is unary"),
     (_else("(=> true)"), SpecSyntaxError, "(=> A B) is binary"),
     (_else("(xor true true)"), SpecSyntaxError, "unknown operator 'xor'"),
+    (_else("((x) 1)"), SpecSyntaxError, "bad operator (x)"),
     ("(property (k 1) (xi (= (map 1 0) 0)))", SpecBindingError,
      "predicate uses slot 1 but only 1 user slot(s) are bound"),
     # forms
@@ -146,6 +150,15 @@ def test_spec_errors(text, err, message, auction):
     with pytest.raises(err) as exc:
         parse_spec(text, auction.layout)
     assert str(exc.value) == message
+
+
+def test_list_in_operator_position_is_one_error_line(capsys, tmp_path):
+    # Once a TypeError traceback: the operator tables hashed the list.
+    spec = tmp_path / "s.spec"
+    spec.write_text(_else("((x) 1)"))
+    assert main(["neighbourhood", str(DATA / "auction.msol"), str(spec)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "msolv: SpecSyntaxError: bad operator (x)\n"
 
 
 @pytest.mark.parametrize("text,message", [
