@@ -207,9 +207,9 @@ class _Parser:
                 e = A.Index(e, key, pos=A.Pos(t.line, t.col))
             elif self.at(".") and self.peek(1).kind == "ident" and self.peek(2).kind == "(":
                 self.advance()
-                fname = self.expect("ident").text
+                fname = self.expect("ident")
                 args = self.parse_call_args()
-                e = A.MemberCall(e, fname, args)
+                e = A.MemberCall(e, fname.text, args, pos=A.Pos(fname.line, fname.col))
             else:
                 return e
 
