@@ -170,7 +170,7 @@ def _holding_d(decls, body):
     # expressions
     (_function("uint x;", "x = g();", extra="function g() public {}"),
      "void-in-expression", "1:74", "calls return nothing and cannot be used as values"),
-    (_holding_d("uint x;", "x = d.g();"),  # once 0:0: the parser gave no position
+    (_holding_d("uint x;", "x = d.g();"),  # the member name's position
      "void-in-expression", "1:93", "calls return nothing and cannot be used as values"),
     (_function("", "require(z == 1);"),
      "unknown-variable", "1:71", "unknown variable z"),

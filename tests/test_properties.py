@@ -153,7 +153,7 @@ def test_spec_errors(text, err, message, auction):
 
 
 def test_list_in_operator_position_is_one_error_line(capsys, tmp_path):
-    # Once a TypeError traceback: the operator tables hashed the list.
+    # A list in operator position is a spec error like any other.
     spec = tmp_path / "s.spec"
     spec.write_text(_else("((x) 1)"))
     assert main(["neighbourhood", str(DATA / "auction.msol"), str(spec)]) == 2
