@@ -204,6 +204,50 @@ def test_multi_contract_new_and_cross_call(w8):
     assert step(b, s, Action("poke", (2,), (1,)), w8) == s  # account 2 is a contract
 
 
+def _order_contract(body: str):
+    return msolv.load("contract C { uint x; mapping(address => uint) m; "
+                      "constructor() public { } function f() public { " + body + " } "
+                      "function two(address a) public { x = m[a] + m[msg.sender]; } }")
+
+
+@pytest.mark.parametrize("body, outcome", [
+    # The divisor is read first; it is 0, so the absent address 7 is never used.
+    ("x = m[address(7)] / x;", "revert"),
+    # && and || evaluate their right operand only when the left leaves it open.
+    ("require(x == 1 && m[address(7)] == 0);", "revert"),
+    ("require(x == 0 || m[address(7)] == 0); x = 1;", 1),
+    # - reverts only below 0 and + only at 2**w or above; a literal wider
+    # than the domain is stored as written.
+    ("x = 3 - 1;", 2),
+    ("x = 1 + 3;", "revert"),
+    ("x = 3;", 3),
+    ("require(address(7) == msg.sender);", "bottom"),
+])
+def test_evaluation_order_and_domain_rules(body, outcome):
+    b = _order_contract(body)
+    d = DataDomain(1)
+    s = step(b, init_state(b, range(3)), Action("constructor", (2,), ()), d)
+    post = step(b, s, Action("f", (2,), ()), d)
+    if outcome == "revert":
+        assert post is s
+    elif outcome == "bottom":
+        assert post.is_bottom
+    else:
+        assert post.control == ControlState((), (outcome,), 1)
+
+
+def test_explore_forks_the_left_operand_first():
+    # The order of leaves is the engine's first-seen order, so it fixes traces.
+    b = _order_contract("")
+    d = DataDomain(1)
+    leaves = explore(b, ControlState((), (0,), 1), (0, 1, 2, 3), [((0,), (1,))] * 4,
+                     Action("two", (2, 3), ()), d)
+    assert [list(leaf.assignment.items()) for leaf in leaves] == [
+        [(3, (0,)), (2, (0,))], [(3, (0,)), (2, (1,))],
+        [(3, (1,)), (2, (0,))], [(3, (1,)), (2, (1,))]]
+    assert [leaf.outcome for leaf in leaves] == ["ok", "ok", "ok", "revert"]
+
+
 def read_multi_src() -> str:
     return """
 contract Main {
