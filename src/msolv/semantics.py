@@ -21,7 +21,7 @@ address swaps commute with transactions.
 
 The implicit guards read only the sender, the transaction name,
 ``ctor_done`` and which ids are present, so :func:`_settle` decides them
-before any store or frame is built: once per :func:`step` call and once per
+before any frame is built: once per :func:`step` call and once per
 :func:`explore` call, never again for a replay after a fork. Only a
 transaction they let through runs its body, in :func:`_run_transaction`.
 """
@@ -29,6 +29,7 @@ transaction they let through runs its body, in :func:`_run_transaction`.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -187,36 +188,6 @@ class TaggedAddress(int):
         return self
 
 
-def _implicit(a: int) -> TaggedAddress:
-    """A fixed address (a literal, ``this`` or a guard account), tagged once
-    at compile time."""
-    return TaggedAddress(a, (("implicit", a),))
-
-
-class _Store:
-    """Per-slot map vectors plus the cells a transaction wrote, as
-    ``{slot: {cell: value}}``. A slot with no vector yet forks the
-    exploration on its first read."""
-
-    __slots__ = ("base", "writes")
-
-    def __init__(self, base: dict[int, tuple[int, ...]]):
-        self.base = base
-        self.writes: dict[int, dict[int, int]] = {}
-
-    def read(self, slot: int, cell: int) -> int:
-        cells = self.writes.get(slot)
-        if cells is not None and cell in cells:
-            return cells[cell]
-        base = self.base.get(slot)
-        if base is None:
-            raise NeedChoice(slot)
-        return base[cell]
-
-    def write(self, slot: int, cell: int, value: int) -> None:
-        self.writes.setdefault(slot, {})[cell] = value
-
-
 def apply_writes(vec: tuple[int, ...], cells: dict[int, int] | None) -> tuple[int, ...]:
     """``vec`` with the cells one slot's writes overwrote."""
     if not cells:
@@ -228,14 +199,19 @@ def apply_writes(vec: tuple[int, ...], cells: dict[int, int] | None) -> tuple[in
 
 
 class _Frame:
-    __slots__ = ("roles", "data", "slot_of", "store", "limit", "fuel",
+    """The one mutable object of a transaction run: ``base`` holds the map
+    vectors it may read, ``{slot: vector}``, and ``writes`` the cells it
+    wrote, ``{slot: {cell: value}}``."""
+
+    __slots__ = ("roles", "data", "slot_of", "base", "writes", "limit", "fuel",
                  "uses", "clients", "args", "locs", "functions")
 
-    def __init__(self, roles, data, slot_of, store, limit, uses, functions):
+    def __init__(self, roles, data, slot_of, base, limit, uses, functions):
         self.roles = roles
         self.data = data
         self.slot_of = slot_of
-        self.store = store
+        self.base = base
+        self.writes: dict[int, dict[int, int]] = {}
         self.limit = limit
         self.fuel = DEFAULT_FUEL
         self.uses = uses
@@ -251,6 +227,16 @@ class _Frame:
             raise _Fault
         return a
 
+    def read(self, address: int, cell: int) -> int:
+        slot = self.slot_of[self.use_address(address)]
+        cells = self.writes.get(slot)
+        if cells is not None and cell in cells:
+            return cells[cell]
+        vec = self.base.get(slot)
+        if vec is None:
+            raise NeedChoice(slot)
+        return vec[cell]
+
 
 # -- expression compilation -------------------------------------------------
 
@@ -259,7 +245,8 @@ def _compile_expr(e):
         v = e.value
         return lambda f: v
     if isinstance(e, ir.RAddrLit):
-        a = _implicit(e.value)
+        # A fixed address is tagged once, here.
+        a = TaggedAddress(e.value, (("implicit", e.value),))
         return lambda f: f.use_address(a)
     if isinstance(e, ir.RRole):
         i = e.index
@@ -277,18 +264,18 @@ def _compile_expr(e):
         i = e.slot
         return lambda f: f.locs[i]
     if isinstance(e, ir.RMapRead):
-        m = e.map_index
-        key = _compile_expr(e.key)
-        def ev(f):
-            a = f.use_address(key(f))
-            return f.store.read(f.slot_of[a], m)
-        return ev
+        m, key = e.map_index, _compile_expr(e.key)
+        return lambda f: f.read(key(f), m)
     if isinstance(e, ir.RNot):
         op = _compile_expr(e.operand)
         return lambda f: 1 if op(f) == 0 else 0
     if isinstance(e, ir.RBin):
         return _compile_bin(e)
     raise TypeError(f"cannot compile {e!r}")
+
+
+_CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, ">": operator.gt}
+_GROW = {"+": operator.add, "*": operator.mul}
 
 
 def _compile_bin(e: ir.RBin):
@@ -299,25 +286,19 @@ def _compile_bin(e: ir.RBin):
         return lambda f: 1 if (left(f) != 0 and right(f) != 0) else 0
     if op == "||":
         return lambda f: 1 if (left(f) != 0 or right(f) != 0) else 0
-    if e.address_compare:
-        if op == "==":
-            return lambda f: 1 if f.use_address(left(f)) == f.use_address(right(f)) else 0
-        return lambda f: 1 if f.use_address(left(f)) != f.use_address(right(f)) else 0
-    if op == "==":
-        return lambda f: 1 if left(f) == right(f) else 0
-    if op == "!=":
-        return lambda f: 1 if left(f) != right(f) else 0
-    if op == "<":
-        return lambda f: 1 if left(f) < right(f) else 0
-    if op == ">":
-        return lambda f: 1 if left(f) > right(f) else 0
-    if op == "+":
-        def add(f):
-            v = left(f) + right(f)
+    if op in _CMP:
+        cmp = _CMP[op]
+        if e.address_compare:
+            return lambda f: 1 if cmp(f.use_address(left(f)), f.use_address(right(f))) else 0
+        return lambda f: 1 if cmp(left(f), right(f)) else 0
+    if op in _GROW:
+        grow = _GROW[op]
+        def arith(f):
+            v = grow(left(f), right(f))
             if v >= f.limit:
-                raise _Revert  # arithmetic outside the domain reverts
+                raise _Revert  # a sum or product past the domain reverts
             return v
-        return add
+        return arith
     if op == "-":
         def sub(f):
             v = left(f) - right(f)
@@ -325,13 +306,6 @@ def _compile_bin(e: ir.RBin):
                 raise _Revert
             return v
         return sub
-    if op == "*":
-        def mul(f):
-            v = left(f) * right(f)
-            if v >= f.limit:
-                raise _Revert
-            return v
-        return mul
     if op == "/":
         def div(f):
             r = right(f)
@@ -361,21 +335,16 @@ def _compile_stmt(s):
     if isinstance(s, ir.SMapWrite):
         m, key, val = s.map_index, _compile_expr(s.key), _compile_expr(s.value)
         def st(f):
-            a = f.use_address(key(f))
-            slot = f.slot_of[a]
-            f.store.write(slot, m, val(f))
+            slot = f.slot_of[f.use_address(key(f))]
+            f.writes.setdefault(slot, {})[m] = val(f)
         return st
-    if isinstance(s, ir.SRequire):
+    if isinstance(s, (ir.SRequire, ir.SAssert)):
         cond = _compile_expr(s.cond)
+        # A class, not a shared instance, which would keep every traceback alive.
+        failure = _Revert if isinstance(s, ir.SRequire) else _Fault
         def st(f):
             if cond(f) == 0:
-                raise _Revert
-        return st
-    if isinstance(s, ir.SAssert):
-        cond = _compile_expr(s.cond)
-        def st(f):
-            if cond(f) == 0:
-                raise _Fault
+                raise failure
         return st
     if isinstance(s, ir.SReturn):
         def st(f):
@@ -409,43 +378,40 @@ def _compile_stmt(s):
             args = tuple(a(f) for a in arg_exprs)
             saved = (f.clients, f.args, f.locs)
             try:
-                f.functions[callee].invoke(f, clients, args)
+                f.functions[callee](f, clients, args)
             finally:
                 f.clients, f.args, f.locs = saved
         return st
     raise TypeError(f"cannot compile statement {s!r}")
 
 
-class _CompiledFunction:
-    __slots__ = ("body", "n_locals")
+def _compile_function(fn: ir.IRFunction):
+    body = [_compile_stmt(s) for s in fn.body]
+    n_locals = fn.n_locals
 
-    def __init__(self, fn: ir.IRFunction):
-        self.body = [_compile_stmt(s) for s in fn.body]
-        self.n_locals = fn.n_locals
-
-    def invoke(self, f: _Frame, clients: tuple[int, ...], args: tuple[int, ...]) -> None:
+    def invoke(f: _Frame, clients: tuple[int, ...], args: tuple[int, ...]) -> None:
         f.clients = clients
         f.args = args
-        f.locs = [0] * self.n_locals
+        f.locs = [0] * n_locals
         try:
-            for st in self.body:
+            for st in body:
                 st(f)
         except _Return:
             pass
+    return invoke
 
 
-class _CompiledBundle:
-    def __init__(self, bundle: ContractBundle):
-        # The senders the implicit guards turn away.
-        self.guards = (ZERO_ACCOUNT, *bundle.contract_accounts)
-        self.functions = {key: _CompiledFunction(fn)
-                          for key, fn in bundle.all_functions.items()}
+class _CompiledBundle(NamedTuple):
+    guards: tuple[int, ...]  # the senders the implicit guards turn away
+    functions: dict  # {(contract, name): invoke}
 
 
 def _compiled(bundle: ContractBundle) -> _CompiledBundle:
     cb = getattr(bundle, "_compiled_cache", None)
     if cb is None:
-        cb = _CompiledBundle(bundle)
+        cb = _CompiledBundle((ZERO_ACCOUNT, *bundle.contract_accounts),
+                             {key: _compile_function(fn)
+                              for key, fn in bundle.all_functions.items()})
         bundle._compiled_cache = cb  # type: ignore[attr-defined]
     return cb
 
@@ -464,10 +430,10 @@ def _slot_of(ids: tuple[int, ...]) -> dict[int, int]:
 def _settle(cb: _CompiledBundle, control: ControlState, slot_of: dict[int, int],
             action: Action, uses) -> str | None:
     """The implicit guards, decided from the sender, the transaction name,
-    ``ctor_done`` and which ids are present, before any store or frame
-    exists. Returns the outcome they settle the transaction with, "bottom"
-    or "revert", or None when its body must run. When ``uses`` is a dict,
-    the addresses the guards use are logged into it.
+    ``ctor_done`` and which ids are present, before any frame exists.
+    Returns the outcome they settle the transaction with, "bottom" or
+    "revert", or None when its body must run. When ``uses`` is a dict, the
+    addresses the guards use are logged into it.
 
     In order: an undeclared transaction is an error; an unrepresented
     sender faults; then for each guard account (the zero account, then the
@@ -495,18 +461,20 @@ def _settle(cb: _CompiledBundle, control: ControlState, slot_of: dict[int, int],
 
 
 def _run_transaction(cb: _CompiledBundle, control: ControlState,
-                     slot_of: dict[int, int], store: _Store, action: Action,
-                     limit: int, uses) -> tuple[str, ControlState | None]:
+                     slot_of: dict[int, int], base: dict[int, tuple[int, ...]],
+                     action: Action, limit: int,
+                     uses) -> tuple[str, ControlState | None, dict[int, dict[int, int]]]:
     """Run the body of a transaction that :func:`_settle` let through, from
-    ``control``. Returns ``(outcome, control_after)`` as :class:`Leaf` has
-    them and leaves in ``store`` the writes of an "ok" run, none otherwise.
+    ``control`` over the map vectors ``base``. Returns ``(outcome,
+    control_after, writes)`` as :class:`Leaf` has them: the writes of an
+    "ok" run, none otherwise.
 
-    A read of a slot the store has no vector for raises NeedChoice. When
+    A read of a slot ``base`` has no vector for raises NeedChoice. When
     ``uses`` is a dict, every use is logged with its provenance: clients
     and roles are tagged here, fixed addresses when they are compiled.
     """
     roles = list(control.roles)
-    f = _Frame(roles, list(control.data), slot_of, store, limit, uses, cb.functions)
+    f = _Frame(roles, list(control.data), slot_of, base, limit, uses, cb.functions)
     clients = action.clients
     if uses is not None:
         clients = tuple(TaggedAddress(c, (("explicit", i),))
@@ -514,17 +482,15 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
         for i, v in enumerate(roles):
             roles[i] = TaggedAddress(v, (("transient", i),))
     try:
-        cb.functions[(0, action.tx)].invoke(f, clients, action.args)
+        cb.functions[(0, action.tx)](f, clients, action.args)
     except _Revert:
-        store.writes.clear()
-        return "revert", control
+        return "revert", control, {}
     except _Fault:
-        store.writes.clear()
-        return "bottom", None
+        return "bottom", None, {}
     except RecursionError:  # a call chain deeper than Python's stack
         raise ResourceExhausted("call depth exhausted") from None
     # Only a first constructor run or a run after construction gets here.
-    return "ok", ControlState(tuple(map(int, roles)), tuple(f.data), 1)
+    return "ok", ControlState(tuple(map(int, roles)), tuple(f.data), 1), f.writes
 
 
 def step(bundle: ContractBundle, state: BundleState, action: Action,
@@ -538,12 +504,12 @@ def step(bundle: ContractBundle, state: BundleState, action: Action,
     slot_of = _slot_of(tuple([u.id for u in users]))
     outcome = _settle(cb, control, slot_of, action, None)
     if outcome is None:
-        store = _Store({i: u.map_vals for i, u in enumerate(users)})
-        outcome, post = _run_transaction(cb, control, slot_of, store, action,
-                                         domain.limit, None)
+        outcome, post, writes = _run_transaction(
+            cb, control, slot_of, {i: u.map_vals for i, u in enumerate(users)},
+            action, domain.limit, None)
         if outcome == "ok":
             out = list(users)
-            for slot, cells in store.writes.items():
+            for slot, cells in writes.items():
                 u = out[slot]
                 out[slot] = UserRecord(u.id, apply_writes(u.map_vals, cells))
             return BundleState(post, tuple(out))
@@ -591,17 +557,16 @@ def explore(bundle: ContractBundle, control: ControlState, ids: tuple[int, ...],
     leaves: list[Leaf] = []
 
     def run(assignment: dict[int, tuple[int, ...]]):
-        store = _Store(assignment)
         uses = None if guard_uses is None else {
             a: set(origins) for a, origins in guard_uses.items()}
         try:
-            outcome, post = _run_transaction(cb, control, slot_of, store, action,
-                                             domain.limit, uses)
+            outcome, post, writes = _run_transaction(cb, control, slot_of, assignment,
+                                                     action, domain.limit, uses)
         except NeedChoice as nc:
             for v in domains[nc.slot]:
                 run({**assignment, nc.slot: v})
             return
-        leaves.append(Leaf(assignment, outcome, post, store.writes, uses or {}))
+        leaves.append(Leaf(assignment, outcome, post, writes, uses or {}))
 
     run({})
     return leaves
