@@ -75,6 +75,12 @@ def _format_sexpr(s: Sexpr) -> str:
     return str(s)
 
 
+def _quote(s: Sexpr) -> str:
+    """A spec item for an error message: a list in the spec's own syntax,
+    an atom as its repr."""
+    return _format_sexpr(s) if isinstance(s, list) else repr(s)
+
+
 # ---------------------------------------------------------------- predicates
 
 _ARITH = {  # operand values, domain size -> value
@@ -112,10 +118,10 @@ class _PredCompiler:
                 raise SpecBindingError(f"{what} index {token} out of range")
             return token
         if self.layout is None:
-            raise SpecBindingError(f"cannot bind {what} name {token!r} without a layout")
+            raise SpecBindingError(f"cannot bind {what} name {_quote(token)} without a layout")
         if token in names:
             return names.index(token)
-        raise SpecBindingError(f"unknown {what} name {token!r}")
+        raise SpecBindingError(f"unknown {what} name {_quote(token)}")
 
     def compile(self, s: Sexpr):
         """Returns (type, fn) with type in {'num', 'bool'}."""
@@ -174,7 +180,7 @@ class _PredCompiler:
                 raise SpecSyntaxError("(=> A B) is binary")
             a, b = self._bool(s[1]), self._bool(s[2])
             return "bool", lambda d, m, L: (not a(d, m, L)) or b(d, m, L)
-        raise SpecSyntaxError(f"unknown operator {head!r}")
+        raise SpecSyntaxError(f"unknown operator {_quote(head)}")
 
     def _num(self, s: Sexpr):
         typ, fn = self.compile(s)
@@ -260,7 +266,7 @@ def parse_spec(text: str, layout: VariableLayout | None = None) -> SpecFile:
                 raise SpecSyntaxError("a spec file may hold at most one invariant")
             invariant = _parse_invariant(form, layout)
         else:
-            raise SpecSyntaxError(f"unknown top-level form {form[0]!r}")
+            raise SpecSyntaxError(f"unknown top-level form {_quote(form[0])}")
     return SpecFile(tuple(props), invariant or trivial_invariant(),
                     invariant is not None)
 
@@ -300,7 +306,7 @@ def _parse_property(form: list, layout: VariableLayout | None, name: str) -> Gua
                 raise SpecSyntaxError("property has two (xi ...) forms")
             xi = compile_predicate(item[1], k, layout)
         else:
-            raise SpecSyntaxError(f"unknown property item {item[0]!r}")
+            raise SpecSyntaxError(f"unknown property item {_quote(item[0])}")
     if xi is None:
         raise SpecSyntaxError("property needs an (xi EXPR)")
     by_slot: dict[int, set] = {}
@@ -339,7 +345,7 @@ def _parse_invariant(form: list, layout: VariableLayout | None) -> SplitInvarian
                 raise SpecSyntaxError("invariant has two (else ...) forms")
             else_pred = compile_predicate(item[1], 1, layout)
         else:
-            raise SpecSyntaxError(f"unknown invariant item {item[0]!r}")
+            raise SpecSyntaxError(f"unknown invariant item {_quote(item[0])}")
     if else_pred is None:
         raise SpecSyntaxError("invariant needs an (else EXPR)")
     return SplitInvariant(tuple(lits), tuple(roles), else_pred)

@@ -145,6 +145,13 @@ def _else(expr: str) -> str:
      "invariant has two (else ...) forms"),
     ("(invariant (widget) (else true))", SpecSyntaxError, "unknown invariant item 'widget'"),
     ("(invariant)", SpecSyntaxError, "invariant needs an (else EXPR)"),
+    # a list where a name belongs is shown in the spec's own syntax
+    ("(invariant ((x) 1) (else true))", SpecSyntaxError, "unknown invariant item (x)"),
+    ("((x) 1)", SpecSyntaxError, "unknown top-level form (x)"),
+    ("(property (k 1) ((x)) (xi true))", SpecSyntaxError, "unknown property item (x)"),
+    ("(invariant (role (0) true) (else true))", SpecBindingError, "unknown role name (0)"),
+    ("(invariant (else true)) (property (k 1) (guard-role (r) slot 0) (xi true))",
+     SpecBindingError, "unknown role name (r)"),
 ])
 def test_spec_errors(text, err, message, auction):
     with pytest.raises(err) as exc:
