@@ -43,15 +43,14 @@ class ContractBundle:
 
     unit: A.SourceUnit
     layout: VariableLayout
-    transactions: dict[str, ir.IRFunction]            # root's external surface
     all_functions: dict[tuple[int, str], ir.IRFunction]
     contract_accounts: tuple[int, ...]                 # per contract index
     tx_order: tuple[str, ...] = field(default_factory=tuple)
 
     def signature(self, function: str) -> FunctionSig:
-        if function not in self.transactions:
+        fn = self.all_functions.get((0, function))  # the root's external surface
+        if fn is None:
             raise UnknownFunction(function)
-        fn = self.transactions[function]
         return FunctionSig(function, fn.n_clients, fn.n_args)
 
     @property
@@ -113,12 +112,10 @@ class _Validator:
                 lowered = _FunctionLowering(self, info, fn).run()
                 all_functions[(info.index, lowered.name)] = lowered
         root = self.contracts[0]
-        transactions = {name: f for (ci, name), f in all_functions.items() if ci == 0}
         tx_order = ("constructor", *(f.name for f in root.decl.functions))
         return ContractBundle(
             unit=self.unit,
             layout=VariableLayout(tuple(self.roles), tuple(self.data), tuple(self.maps)),
-            transactions=transactions,
             all_functions=all_functions,
             contract_accounts=tuple(ROOT_ACCOUNT + i for i in range(len(self.contracts))),
             tx_order=tx_order,
