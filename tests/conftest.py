@@ -3,6 +3,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import msolv
 from msolv.properties import parse_spec
@@ -10,6 +11,10 @@ from msolv.ptg import build_ptg, taint_summary
 from msolv.semantics import DataDomain
 
 DATA = Path(__file__).parent / "data"
+
+# The same examples on every run, and no example database in the checkout.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def read(name: str) -> str:
