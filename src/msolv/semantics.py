@@ -6,8 +6,10 @@ frame; a transaction either commits (fresh state), reverts (input state
 returned unchanged), or faults to the absorbing error state ``BOTTOM``.
 
 Failure modes:
-  * failed ``require``, division by zero, arithmetic leaving [0, 2**w):
-    revert, i.e. the transaction is a no-op;
+  * failed ``require``, a sum or product of 2**w or more, a difference
+    below 0, division by zero: revert, i.e. the transaction is a no-op.
+    Nothing else checks the domain: a literal wider than it is stored as
+    written;
   * failed ``assert`` or any use of an address value that no current user
     holds: ``BOTTOM``;
   * runaway loops and call chains deeper than Python's stack:
