@@ -277,7 +277,7 @@ def _compile_expr(e):
 
 
 _CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, ">": operator.gt}
-_GROW = {"+": operator.add, "*": operator.mul}
+_GROW = {"+": operator.add, "*": operator.mul}  # can only leave the domain upward
 
 
 def _compile_bin(e: ir.RBin):
