@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import msolv
 from msolv.properties import parse_spec
@@ -15,6 +18,14 @@ DATA = Path(__file__).parent / "data"
 # The same examples on every run, and no example database in the checkout.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+# Hypothesis still caches the literals of the tested modules under its home
+# directory, so keep that out of the checkout and remove it afterwards.
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="msolv-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    shutil.rmtree(_HYPOTHESIS_HOME, ignore_errors=True)
 
 
 def read(name: str) -> str:

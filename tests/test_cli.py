@@ -1,12 +1,22 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import msolv.checker
+from msolv import lexer
 from msolv.cli import main
 
 from conftest import DATA
+
+SRC = str(Path(__file__).parents[1] / "src")
 
 AUCTION = str(DATA / "auction.msol")
 SPEC = str(DATA / "auction.spec")
@@ -279,3 +289,54 @@ def test_one_interpreter_call_per_counted_transition(capsys, monkeypatch):
     assert code == 0 and calls["step"] == transitions(out) > 0
     code, out, _ = run(capsys, "check", AUCTION, SPEC, "--width", "2")
     assert code == 0 and calls["leaves"] == transitions(out) > 0
+
+
+def _python(*args):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_builds_no_dataclasses():
+    """Importing the CLI generates no per-class code: neither dataclasses
+    nor the inspect module it pulls in gets loaded."""
+    proc = _python("-c", "import msolv.cli, sys; "
+                         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_python_m_msolv_runs_the_cli(capsys):
+    proc = _python("-m", "msolv", "parse", AUCTION)
+    code, out, err = run(capsys, "parse", AUCTION)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (0, out, "")
+
+
+# Token streams over the lexer's vocabulary, plus a few names and numerals,
+# reach the parser; short expressions in a constructor reach the validator.
+VOCABULARY = sorted(lexer.KEYWORDS) + list(lexer._TWO_CHAR) + list(lexer._ONE_CHAR) + [
+    "C", "x", "f", "0", "7", "//"]
+EXPRESSION = ["x", "y", "0", "1", "true", "this", "msg", ".", "sender", "address",
+              "(", ")", "[", "]", "+", "==", "!", "&&"]
+
+
+def _streams(vocabulary, max_size):
+    return st.lists(st.sampled_from(vocabulary), max_size=max_size).map(" ".join)
+
+
+@pytest.fixture(scope="module")
+def source_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "c.msol"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_streams(VOCABULARY, 40), _streams(EXPRESSION, 8).map(_constructor)))
+def test_parse_token_streams_never_traceback(source_file, source):
+    """Any token stream parses, or exits 2 with one ``msolv:`` line."""
+    source_file.write_text(source)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["parse", str(source_file)])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("msolv: ") and err.getvalue().count("\n") == 1

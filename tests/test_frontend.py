@@ -317,3 +317,21 @@ def test_address_casts_lower_to_the_address():
         ir.SRole(0, ir.RClient(0)),
     )
     assert bundle.all_functions[(0, "f")].body == (ir.SRole(0, ir.RAddrLit(2)),)
+
+
+def test_records_compare_by_class_and_fields():
+    located = A.Binary("+", A.IntLit(1, pos=A.Pos(1, 5)), A.Name("x"), pos=A.Pos(1, 7))
+    plain = A.Binary("+", A.IntLit(1), A.Name("x"))
+    assert located == plain and hash(located) == hash(plain)
+    assert ir.RRole(0) != ir.RData(0)
+    with pytest.raises(AttributeError):
+        plain.op = "-"
+    with pytest.raises(TypeError):
+        ir.RBin("+", ir.RNum(1))
+    with pytest.raises(TypeError):
+        ir.RNum(1, width=8)
+    bundle = validate(parse(MINIMAL))
+    bundle._compiled_cache = "compiled"
+    assert bundle._compiled_cache == "compiled"
+    with pytest.raises(TypeError):
+        hash(bundle)
