@@ -8,12 +8,12 @@ clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import Union
 
+from .record import Record
 
-@dataclass(frozen=True)
-class Pos:
+
+class Pos(Record):
     line: int
     col: int
 
@@ -21,14 +21,12 @@ class Pos:
 _NOPOS = Pos(0, 0)
 
 
-@dataclass(frozen=True)
-class Node:
-    pos: Pos = field(default=_NOPOS, compare=False, kw_only=True)
+class Node(Record, keyword=True):
+    pos: Pos = _NOPOS
 
 
 # ---------------------------------------------------------------- types
 
-@dataclass(frozen=True)
 class TypeName(Node):
     """One of: uint, bool, address, mapping(address => uint), or a contract name."""
 
@@ -38,64 +36,53 @@ class TypeName(Node):
 
 # ---------------------------------------------------------------- expressions
 
-@dataclass(frozen=True)
 class IntLit(Node):
     value: int
 
 
-@dataclass(frozen=True)
 class BoolLit(Node):
     value: bool
 
 
-@dataclass(frozen=True)
 class AddressLit(Node):
     """``address(K)`` with an integer literal K."""
 
     value: int
 
 
-@dataclass(frozen=True)
 class Name(Node):
     ident: str
 
 
-@dataclass(frozen=True)
 class This(Node):
     pass
 
 
-@dataclass(frozen=True)
 class MsgSender(Node):
     pass
 
 
-@dataclass(frozen=True)
 class Binary(Node):
     op: str  # == != < > + - * / && ||
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Not(Node):
     operand: Expr
 
 
-@dataclass(frozen=True)
 class AddressCast(Node):
     """``address(v)`` over a name (grammar form); integer payloads lex to AddressLit."""
 
     operand: Expr
 
 
-@dataclass(frozen=True)
 class Index(Node):
     base: Expr
     key: Expr
 
 
-@dataclass(frozen=True)
 class Call(Node):
     """``f(args)`` same-contract call."""
 
@@ -103,7 +90,6 @@ class Call(Node):
     callargs: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class MemberCall(Node):
     """``expr.f(args)`` call on a contract reference."""
 
@@ -121,53 +107,44 @@ Expr = Union[EXPR_NODE_TYPES]
 
 # ---------------------------------------------------------------- statements
 
-@dataclass(frozen=True)
 class VarDecl(Node):
     typ: TypeName
     name: str
 
 
-@dataclass(frozen=True)
 class Assign(Node):
     target: Expr  # Name or Index
     value: Expr
 
 
-@dataclass(frozen=True)
 class NewAssign(Node):
     target: Expr  # Name of a contract-reference variable
     contract: str
     callargs: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class Require(Node):
     cond: Expr
 
 
-@dataclass(frozen=True)
 class Assert(Node):
     cond: Expr
 
 
-@dataclass(frozen=True)
 class Return(Node):
     pass
 
 
-@dataclass(frozen=True)
 class If(Node):
     cond: Expr
     body: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
 class While(Node):
     cond: Expr
     body: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
 class ExprStmt(Node):
     """A bare call used for its effect (cross-contract or internal call)."""
 
@@ -180,13 +157,11 @@ Stmt = Union[STMT_NODE_TYPES]
 
 # ---------------------------------------------------------------- declarations
 
-@dataclass(frozen=True)
 class Param(Node):
     typ: TypeName
     name: str
 
 
-@dataclass(frozen=True)
 class FunctionDecl(Node):
     name: str  # "constructor" for the constructor
     params: tuple[Param, ...]
@@ -194,7 +169,6 @@ class FunctionDecl(Node):
     is_constructor: bool = False
 
 
-@dataclass(frozen=True)
 class ContractDecl(Node):
     name: str
     state_vars: tuple[VarDecl, ...]
@@ -202,7 +176,6 @@ class ContractDecl(Node):
     functions: tuple[FunctionDecl, ...]
 
 
-@dataclass(frozen=True)
 class SourceUnit(Node):
     contracts: tuple[ContractDecl, ...]
 
@@ -215,8 +188,8 @@ ALL_NODE_TYPES = EXPR_NODE_TYPES + STMT_NODE_TYPES + (
 def walk(node: Node):
     """Yield ``node`` and every descendant node, pre-order."""
     yield node
-    for f in fields(node):
-        v = getattr(node, f.name)
+    for name in node._fields:
+        v = getattr(node, name)
         if isinstance(v, Node):
             yield from walk(v)
         elif isinstance(v, tuple):
@@ -327,14 +300,12 @@ def to_json(node: Node):
     if isinstance(node, tuple):
         return [to_json(n) for n in node]
     d: dict = {"kind": type(node).__name__}
-    for f in fields(node):
-        if f.name == "pos":
-            continue
-        v = getattr(node, f.name)
+    for name in node._fields:
+        v = getattr(node, name)
         if isinstance(v, Node):
-            d[f.name] = to_json(v)
+            d[name] = to_json(v)
         elif isinstance(v, tuple):
-            d[f.name] = [to_json(x) if isinstance(x, Node) else x for x in v]
+            d[name] = [to_json(x) if isinstance(x, Node) else x for x in v]
         else:
-            d[f.name] = v
+            d[name] = v
     return d

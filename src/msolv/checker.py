@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError, PreconditionUnmet, within
 from .localization import allowed_vectors, rule_neighbourhood
 from .properties import (GuardedProperty, SplitInvariant, check_universal,
                          eval_guarded, eval_split)
 from .ptg import PtGraph
+from .record import Record
 from .semantics import (BOTTOM, Action, BundleState, ControlState, DataDomain,
                         Leaf, UserRecord, apply_writes, enumerate_actions, explore,
                         init_state, step)
@@ -35,15 +35,13 @@ DEFAULT_BUDGET_SECS = 60.0
 DEFAULT_ORACLE_BUDGET_SECS = 300.0
 
 
-@dataclass(frozen=True)
-class Stats:
+class Stats(Record):
     states: int
     transitions: int
     seconds: float
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """Alternating states and actions; states[0] is initial, states[-1] the
     violation. len(states) == len(actions) + 1."""
 
@@ -54,8 +52,7 @@ class Trace:
         return len(self.actions)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     result: str  # "safe" | "cex_invariant" | "cex_property" | "exhausted"
     stats: Stats
     invariant: tuple[ControlState, ...] = ()

@@ -8,120 +8,100 @@ calls are bound to their static instance with their msg.sender spelled out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
-@dataclass(frozen=True)
-class RNum:
+class RNum(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class RAddrLit:
+class RAddrLit(Record):
     """A literal address (incl. ``this``); evaluation checks it is in scope."""
 
     value: int
 
 
-@dataclass(frozen=True)
-class RRole:
+class RRole(Record):
     index: int
 
 
-@dataclass(frozen=True)
-class RData:
+class RData(Record):
     index: int
 
 
-@dataclass(frozen=True)
-class RClient:
+class RClient(Record):
     slot: int  # 0 is msg.sender
 
 
-@dataclass(frozen=True)
-class RArg:
+class RArg(Record):
     index: int
 
 
-@dataclass(frozen=True)
-class RLocal:
+class RLocal(Record):
     slot: int
     is_address: bool
 
 
-@dataclass(frozen=True)
-class RMapRead:
+class RMapRead(Record):
     map_index: int
     key: "RExpr"
 
 
-@dataclass(frozen=True)
-class RBin:
+class RBin(Record):
     op: str
     left: "RExpr"
     right: "RExpr"
     address_compare: bool = False
 
 
-@dataclass(frozen=True)
-class RNot:
+class RNot(Record):
     operand: "RExpr"
 
 
-@dataclass(frozen=True)
-class SRole:
+class SRole(Record):
     index: int
     value: object
 
 
-@dataclass(frozen=True)
-class SData:
+class SData(Record):
     index: int
     value: object
 
 
-@dataclass(frozen=True)
-class SLocal:
+class SLocal(Record):
     slot: int
     value: object
 
 
-@dataclass(frozen=True)
-class SMapWrite:
+class SMapWrite(Record):
     map_index: int
     key: object
     value: object
 
 
-@dataclass(frozen=True)
-class SRequire:
+class SRequire(Record):
     cond: object
 
 
-@dataclass(frozen=True)
-class SAssert:
+class SAssert(Record):
     cond: object
 
 
-@dataclass(frozen=True)
-class SReturn:
+class SReturn(Record):
     pass
 
 
-@dataclass(frozen=True)
-class SIf:
+class SIf(Record):
     cond: object
     body: tuple
 
 
-@dataclass(frozen=True)
-class SWhile:
+class SWhile(Record):
     cond: object
     body: tuple
 
 
-@dataclass(frozen=True)
-class SCall:
+class SCall(Record):
     """Bound call: ``callee`` is (contract_index, function_name).
 
     ``client_exprs[i]`` is the callee's client slot i. Slot 0, its
@@ -135,8 +115,7 @@ class SCall:
     arg_exprs: tuple
 
 
-@dataclass(frozen=True)
-class IRFunction:
+class IRFunction(Record):
     name: str
     n_clients: int   # includes msg.sender at slot 0
     n_args: int

@@ -6,9 +6,8 @@ them; real corpus files carry them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MicroSolSyntaxError
+from .record import Record
 
 KEYWORDS = {
     "contract", "constructor", "function", "public", "require", "assert",
@@ -22,8 +21,7 @@ _ONE_CHAR = "{}()[];,=<>+-*/!."
 _DIGITS = "0123456789"  # ASCII only: str.isdigit also takes "²" and "٣"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str   # keyword text, operator text, "ident", "int", or "eof"
     text: str
     line: int

@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import within
 from .properties import GuardedProperty, SplitInvariant, eval_split
 from .ptg import PtGraph
+from .record import Record
 from .semantics import (Action, BundleState, ControlState, DataDomain,
                         UserRecord, step)
 from .validator import ContractBundle
 
 
-@dataclass(frozen=True)
-class Neighbourhood:
+class Neighbourhood(Record):
     """Disjoint representative sets: one address per explicit class, one per
     transient class or role guard, and every implicit or literal-guard
     address itself."""

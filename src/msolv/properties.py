@@ -22,10 +22,10 @@ import math
 import operator
 import re
 import warnings
-from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import SpecBindingError, SpecSyntaxError, within
+from .record import Record
 from .semantics import BundleState, ControlState, DataDomain, UserRecord
 from .validator import VariableLayout
 
@@ -93,13 +93,12 @@ _CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, ">": operator.gt,
         "<=": operator.le, ">=": operator.ge}
 
 
-@dataclass(frozen=True)
-class ObliviousPredicate:
+class ObliviousPredicate(Record):
     """A compiled boolean expression over k user slots and the control state."""
 
     source: str
     slots: int
-    _fn: object = field(compare=False, repr=False)
+    _fn: object
 
     def evaluate(self, control: ControlState, users: tuple[UserRecord, ...],
                  domain: DataDomain) -> bool:
@@ -217,8 +216,7 @@ def parse_predicate(text: str, slots: int = 1,
 
 # ---------------------------------------------------------------- objects
 
-@dataclass(frozen=True)
-class GuardedProperty:
+class GuardedProperty(Record):
     """Guarded k-universal safety property: guards bind user slots to
     literal addresses or role holders; the oblivious core must hold whenever
     every guard matches."""
@@ -230,8 +228,7 @@ class GuardedProperty:
     name: str = "property"
 
 
-@dataclass(frozen=True)
-class SplitInvariant:
+class SplitInvariant(Record):
     """Split interference invariant: one 1-user predicate per literal or
     role guard, plus an else predicate for unguarded users."""
 
@@ -244,8 +241,7 @@ def trivial_invariant() -> SplitInvariant:
     return SplitInvariant((), (), parse_predicate("true"))
 
 
-@dataclass(frozen=True)
-class SpecFile:
+class SpecFile(Record):
     properties: tuple[GuardedProperty, ...]
     invariant: SplitInvariant
     has_invariant: bool

@@ -12,11 +12,11 @@ role) and "implicit" (a literal address).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import ast_nodes as A
 from . import ir
 from .errors import BudgetExceeded
+from .record import Record
 from .semantics import (Action, BundleState, ControlState, DataDomain, Leaf,
                         UserRecord, apply_writes, explore, step)
 from .validator import ContractBundle, ZERO_ACCOUNT
@@ -25,8 +25,7 @@ SC = "sc"
 STAR = "*"
 
 
-@dataclass(frozen=True)
-class TaintSummary:
+class TaintSummary(Record):
     """Which client slots, role indices, and literal addresses can reach a
     sink (an address comparison or a mapping access key) in any transaction."""
 
@@ -35,8 +34,7 @@ class TaintSummary:
     lits: frozenset[int]
 
 
-@dataclass(frozen=True)
-class PtGraph:
+class PtGraph(Record):
     """The participation topology graph, held as its three label classes:
     client slots (explicit), role indices (transient) and literal addresses
     (implicit).
@@ -207,18 +205,17 @@ def build_ptg(summary: TaintSummary) -> PtGraph:
 # semantic participation (the oracle side of the over-approximation theorem)
 # --------------------------------------------------------------------------
 
-@dataclass
-class SemanticPT:
+class SemanticPT(Record):
     """Participants of one action, classified by how the contract reached
     them: through a client input, a stored role, or a literal address. The
     provenance comes from the interpreter's tagged use log, which is what
     distinguishes, say, a manager compared by role from the same address
     incidentally appearing as an unused argument."""
 
-    explicit: set[tuple[int, int]] = field(default_factory=set)   # (client slot, address)
-    transient: set[tuple[int, int]] = field(default_factory=set)  # (role index, address)
-    implicit: set[int] = field(default_factory=set)
-    participants: set[int] = field(default_factory=set)
+    explicit: set[tuple[int, int]]   # (client slot, address)
+    transient: set[tuple[int, int]]  # (role index, address)
+    implicit: set[int]
+    participants: set[int]
 
     def attribute(self, a: int, origins) -> None:
         self.participants.add(a)
@@ -276,7 +273,7 @@ def semantic_pt(bundle: ContractBundle, n: int, action: Action,
     ids = tuple(range(n))
     vectors = tuple(itertools.product(domain.values(), repeat=bundle.n_maps))
     domains = {slot: vectors for slot in range(n)}
-    pt = SemanticPT()
+    pt = SemanticPT(set(), set(), set(), set())
     work = 0
     id_set = set(ids)
     for control in _controls(bundle, n, domain):
@@ -323,7 +320,7 @@ def semantic_pt_naive(bundle: ContractBundle, n: int, action: Action,
     ids = tuple(range(n))
     fresh = _fresh_address(bundle, n)
     vectors = tuple(itertools.product(domain.values(), repeat=bundle.n_maps))
-    pt = SemanticPT()
+    pt = SemanticPT(set(), set(), set(), set())
 
     def users_of(assign: tuple) -> tuple[UserRecord, ...]:
         return tuple(UserRecord(ids[i], assign[i]) for i in range(n))

@@ -32,18 +32,17 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from . import ir
 from .errors import InputError, ResourceExhausted, TooFewUsers, UnknownFunction
+from .record import Record
 from .validator import ContractBundle, ZERO_ACCOUNT
 
 DEFAULT_FUEL = 1 << 16
 
 
-@dataclass(frozen=True)
-class DataDomain:
+class DataDomain(Record):
     """Numeric values are integers in [0, 2**width); width is configurable."""
 
     width: int = 8

@@ -7,18 +7,16 @@ with stable identifiers so tests and users can match on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import ast_nodes as A
 from . import ir
 from .errors import UnknownFunction, ValidationError
+from .record import Record
 
 ZERO_ACCOUNT = 0
 ROOT_ACCOUNT = 1
 
 
-@dataclass(frozen=True)
-class VariableLayout:
+class VariableLayout(Record):
     """Stable storage indices: declaration order, contracts in bundle order.
 
     Names are qualified ``Contract.var`` when the bundle has several
@@ -30,22 +28,20 @@ class VariableLayout:
     maps: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FunctionSig:
+class FunctionSig(Record):
     name: str
     clients: int  # msg.sender plus address params
     args: int     # numeric params
 
 
-@dataclass
-class ContractBundle:
+class ContractBundle(Record, mutable=True):
     """A validated bundle: AST, layout, lowered functions, account map."""
 
     unit: A.SourceUnit
     layout: VariableLayout
     all_functions: dict[tuple[int, str], ir.IRFunction]
     contract_accounts: tuple[int, ...]                 # per contract index
-    tx_order: tuple[str, ...] = field(default_factory=tuple)
+    tx_order: tuple[str, ...] = ()
 
     def signature(self, function: str) -> FunctionSig:
         fn = self.all_functions.get((0, function))  # the root's external surface
