@@ -1,8 +1,9 @@
 """Executable N-user bundle semantics.
 
-States are immutable; :func:`step` is a deterministic function. Function
-bodies are compiled once per bundle into Python closures over a mutable
-frame; a transaction either commits (fresh state), reverts (input state
+States are immutable; :func:`step` is a deterministic function. Each
+function body is generated once per bundle as Python source and compiled
+into one Python function, in a plain variant and in one that logs address
+uses; a transaction either commits (fresh state), reverts (input state
 returned unchanged), or faults to the absorbing error state ``BOTTOM``.
 
 Failure modes:
@@ -23,7 +24,7 @@ address swaps commute with transactions.
 
 The implicit guards read only the sender, the transaction name,
 ``ctor_done`` and which ids are present, so :func:`_settle` decides them
-before any frame is built: once per :func:`step` call and once per
+before any generated code runs: once per :func:`step` call and once per
 :func:`explore` call, never again for a replay after a fork. Only a
 transaction they let through runs its body, in :func:`_run_transaction`.
 """
@@ -31,7 +32,6 @@ transaction they let through runs its body, in :func:`_run_transaction`.
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from . import ir
@@ -158,18 +158,6 @@ def swap_addresses(obj, x: int, y: int):
 # transaction execution machinery
 # --------------------------------------------------------------------------
 
-class _Revert(Exception):
-    pass
-
-
-class _Return(Exception):
-    pass
-
-
-class _Fault(Exception):
-    """Raised for transitions into BOTTOM."""
-
-
 class NeedChoice(Exception):
     """Internal: a choice-mode read hit a user slot with no assigned value."""
 
@@ -199,220 +187,235 @@ def apply_writes(vec: tuple[int, ...], cells: dict[int, int] | None) -> tuple[in
     return tuple(out)
 
 
-class _Frame:
-    """The one mutable object of a transaction run: ``base`` holds the map
-    vectors it may read, ``{slot: vector}``, and ``writes`` the cells it
-    wrote, ``{slot: {cell: value}}``."""
+# -- code generation ----------------------------------------------------------
+#
+# Each IR function becomes one generated Python function. Its parameters are
+# the run's state, then the tuples of its clients ``c<i>`` and of its
+# arguments ``a<i>``; its locals are ``l<i>``. It returns 0 when it
+# completes, 1 when it reverts and 2 when it faults, and a caller passes a
+# non-zero code up. Every value that can fail or fork is computed into its
+# own temporary ``t<i>``, in the order the semantics fixes, so no check runs
+# ahead of an earlier read. The source holds only integers and the
+# generator's own names.
 
-    __slots__ = ("roles", "data", "slot_of", "base", "writes", "limit", "fuel",
-                 "uses", "clients", "args", "locs", "functions")
-
-    def __init__(self, roles, data, slot_of, base, limit, uses, functions):
-        self.roles = roles
-        self.data = data
-        self.slot_of = slot_of
-        self.base = base
-        self.writes: dict[int, dict[int, int]] = {}
-        self.limit = limit
-        self.fuel = DEFAULT_FUEL
-        self.uses = uses
-        self.clients: tuple[int, ...] = ()
-        self.args: tuple[int, ...] = ()
-        self.locs: list[int] = []
-        self.functions = functions
-
-    def use_address(self, a: int) -> int:
-        if self.uses is not None:
-            self.uses.setdefault(int(a), set()).update(getattr(a, "origins", ()))
-        if a not in self.slot_of:
-            raise _Fault
-        return a
-
-    def read(self, address: int, cell: int) -> int:
-        slot = self.slot_of[self.use_address(address)]
-        cells = self.writes.get(slot)
-        if cells is not None and cell in cells:
-            return cells[cell]
-        vec = self.base.get(slot)
-        if vec is None:
-            raise NeedChoice(slot)
-        return vec[cell]
+# roles, data, slot_of, writes, base (by slot, the map vector the run may
+# read, or None), the domain limit, and a one-element list holding the loop fuel
+_STATE = ("R", "D", "S", "W", "B", "L", "F")
+_CMP = {op: op for op in ("==", "!=", "<", ">")}
+_ARITH = {op: op for op in ("+", "*", "-")}
+# CPython compiles at most 20 nested loops and 100 levels of indentation, so
+# a block nested deeper than this becomes a helper function of its own.
+_MAX_DEPTH = 16
 
 
-# -- expression compilation -------------------------------------------------
-
-def _compile_expr(e):
-    if isinstance(e, ir.RNum):
-        v = e.value
-        return lambda f: v
-    if isinstance(e, ir.RAddrLit):
-        # A fixed address is tagged once, here.
-        a = TaggedAddress(e.value, (("implicit", e.value),))
-        return lambda f: f.use_address(a)
-    if isinstance(e, ir.RRole):
-        i = e.index
-        return lambda f: f.roles[i]
-    if isinstance(e, ir.RData):
-        i = e.index
-        return lambda f: f.data[i]
-    if isinstance(e, ir.RClient):
-        i = e.slot
-        return lambda f: f.clients[i]
-    if isinstance(e, ir.RArg):
-        i = e.index
-        return lambda f: f.args[i]
-    if isinstance(e, ir.RLocal):
-        i = e.slot
-        return lambda f: f.locs[i]
-    if isinstance(e, ir.RMapRead):
-        m, key = e.map_index, _compile_expr(e.key)
-        return lambda f: f.read(key(f), m)
-    if isinstance(e, ir.RNot):
-        op = _compile_expr(e.operand)
-        return lambda f: 1 if op(f) == 0 else 0
-    if isinstance(e, ir.RBin):
-        return _compile_bin(e)
-    raise TypeError(f"cannot compile {e!r}")
+def _tuple(names) -> str:
+    return "".join(n + ", " for n in names)
 
 
-_CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, ">": operator.gt}
-_GROW = {"+": operator.add, "*": operator.mul}  # can only leave the domain upward
+def _log_use(uses: dict, a: int) -> None:
+    uses.setdefault(int(a), set()).update(getattr(a, "origins", ()))
 
 
-def _compile_bin(e: ir.RBin):
-    op = e.op
-    left = _compile_expr(e.left)
-    right = _compile_expr(e.right)
-    if op == "&&":
-        return lambda f: 1 if (left(f) != 0 and right(f) != 0) else 0
-    if op == "||":
-        return lambda f: 1 if (left(f) != 0 or right(f) != 0) else 0
-    if op in _CMP:
-        cmp = _CMP[op]
-        if e.address_compare:
-            return lambda f: 1 if cmp(f.use_address(left(f)), f.use_address(right(f))) else 0
-        return lambda f: 1 if cmp(left(f), right(f)) else 0
-    if op in _GROW:
-        grow = _GROW[op]
-        def arith(f):
-            v = grow(left(f), right(f))
-            if v >= f.limit:
-                raise _Revert  # a sum or product past the domain reverts
-            return v
-        return arith
-    if op == "-":
-        def sub(f):
-            v = left(f) - right(f)
-            if v < 0:
-                raise _Revert
-            return v
-        return sub
-    if op == "/":
-        def div(f):
-            r = right(f)
-            if r == 0:
-                raise _Revert  # on-chain style: division by zero reverts
-            return left(f) // r
-        return div
-    raise TypeError(f"unknown operator {op}")
+class _Gen:
+    """The Python source of one IR function, in ``defs``, with a helper for
+    each over-deep block. With ``log``, every address use is logged into the
+    extra state ``U`` and a literal address is a TaggedAddress from ``ns``."""
+
+    def __init__(self, fn: ir.IRFunction, name: str, names: dict, log: bool, ns: dict):
+        self.name, self.names, self.log, self.ns = name, names, log, ns
+        self.state = [*_STATE, "U"] if log else list(_STATE)
+        clients = [f"c{i}" for i in range(fn.n_clients)]
+        args = [f"a{i}" for i in range(fn.n_args)]
+        self.head = [*self.state, *clients, *args]  # a helper's first parameters
+        self.locals = [f"l{i}" for i in range(fn.n_locals)]
+        self.defs: list[str] = []
+        self.temps = 0
+        self.outs = None  # a helper returns (code, *outs); the function itself just the code
+        self.lines = [f"def {name}({', '.join(self.state)}, C, A):"]
+        for names, given in ((clients, "C"), (args, "A")):
+            if names:
+                self.emit(1, f"{_tuple(names)} = {given}")
+        if self.locals:
+            self.emit(1, f"{' = '.join(self.locals)} = 0")
+        self.block(fn.body, 1)
+        self.emit(1, "return 0")
+        self.defs.append("\n".join(self.lines))
+
+    def emit(self, ind: int, line: str) -> None:
+        self.lines.append(" " * ind + line)
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def exit(self, code: str) -> str:
+        if self.outs is None:
+            return f"return {code}"
+        return f"return ({code}, {_tuple(self.outs)})"
+
+    def nested(self, ind: int, body, extra: tuple = ()) -> None:
+        """``body(ind)`` emits a block. Past ``_MAX_DEPTH`` it goes into a
+        helper that takes and returns the locals and ``extra``, with a code:
+        0 to go on, 1 revert, 2 fault, 3 a MicroSol ``return``."""
+        if ind <= _MAX_DEPTH:
+            body(ind)
+            return
+        helper, outs = f"{self.name}_{self.temp()}", (*self.locals, *extra)
+        args = ", ".join([*self.head, *outs])
+        saved = self.lines, self.outs
+        self.lines, self.outs = [f"def {helper}({args}):"], outs
+        body(1)
+        self.emit(1, self.exit("0"))
+        self.defs.append("\n".join(self.lines))
+        self.lines, self.outs = saved
+        self.emit(ind, f"r, {_tuple(outs)} = {helper}({args})")
+        self.emit(ind, f"if r: {self.exit('r % 3' if self.outs is None else 'r')}")
+
+    def block(self, stmts: tuple, ind: int) -> None:
+        for s in stmts:
+            self.stmt(s, ind)
+        if not stmts:
+            self.emit(ind, "pass")
+
+    def stmt(self, s, ind: int) -> None:
+        if isinstance(s, (ir.SRole, ir.SData, ir.SLocal)):
+            target = (f"l{s.slot:d}" if isinstance(s, ir.SLocal)
+                      else f"{'R' if isinstance(s, ir.SRole) else 'D'}[{s.index:d}]")
+            self.emit(ind, f"{target} = {self.value(s.value, ind)}")
+        elif isinstance(s, ir.SMapWrite):
+            slot = self.slot(self.value(s.key, ind), ind)  # the key is used before the value runs
+            value = self.value(s.value, ind)
+            self.emit(ind, f"W.setdefault({slot}, {{}})[{s.map_index:d}] = {value}")
+        elif isinstance(s, (ir.SRequire, ir.SAssert)):
+            code = "1" if isinstance(s, ir.SRequire) else "2"
+            self.emit(ind, f"if not ({self.test(s.cond, ind)}): {self.exit(code)}")
+        elif isinstance(s, ir.SReturn):
+            self.emit(ind, self.exit("0" if self.outs is None else "3"))
+        elif isinstance(s, ir.SIf):
+            self.emit(ind, f"if {self.test(s.cond, ind)}:")
+            self.nested(ind + 1, lambda i: self.block(s.body, i))
+        elif isinstance(s, ir.SWhile):
+            self.emit(ind, "while True:")
+            self.emit(ind + 1, f"if not ({self.test(s.cond, ind + 1)}): break")
+            self.emit(ind + 1, "F[0] -= 1")
+            self.emit(ind + 1, 'if F[0] <= 0: raise ResourceExhausted("loop fuel exhausted")')
+            self.nested(ind + 1, lambda i: self.block(s.body, i))
+        elif isinstance(s, ir.SCall):
+            clients = [self.value(x, ind) for x in s.client_exprs]
+            args = [self.value(x, ind) for x in s.arg_exprs]
+            call = f"{', '.join(self.state)}, ({_tuple(clients)}), ({_tuple(args)})"
+            self.emit(ind, f"r = {self.names[s.callee]}({call})")
+            self.emit(ind, f"if r: {self.exit('r')}")
+        else:
+            raise TypeError(f"cannot compile statement {s!r}")
+
+    def slot(self, a: str, ind: int) -> str:
+        """Use the address ``a``: fault unless a user holds it, and return
+        the temporary that holds its slot."""
+        if self.log:
+            self.emit(ind, f"_log(U, {a})")
+        slot = self.temp()
+        self.emit(ind, f"{slot} = S.get({a})")
+        self.emit(ind, f"if {slot} is None: {self.exit('2')}")
+        return slot
+
+    def test(self, e, ind: int) -> str:
+        """Emit what ``e`` runs before its truth value; return that value as
+        a Python condition."""
+        if isinstance(e, ir.RNot):
+            return f"{self.value(e.operand, ind)} == 0"
+        if isinstance(e, ir.RBin) and e.op in _CMP:
+            left = self.value(e.left, ind)
+            if e.address_compare:  # the left address is used before the right operand runs
+                self.slot(left, ind)
+            right = self.value(e.right, ind)
+            if e.address_compare:
+                self.slot(right, ind)
+            return f"{left} {_CMP[e.op]} {right}"
+        return self.value(e, ind)
+
+    def value(self, e, ind: int) -> str:
+        """Emit what ``e`` runs before its value; return the value: an
+        integer, a temporary, or a read that no expression can change."""
+        if isinstance(e, ir.RNum):
+            return f"{e.value:d}"
+        if isinstance(e, ir.RRole):
+            return f"R[{e.index:d}]"
+        if isinstance(e, ir.RData):
+            return f"D[{e.index:d}]"
+        if isinstance(e, ir.RClient):
+            return f"c{e.slot:d}"
+        if isinstance(e, ir.RArg):
+            return f"a{e.index:d}"
+        if isinstance(e, ir.RLocal):
+            return f"l{e.slot:d}"
+        if isinstance(e, ir.RAddrLit):
+            a = f"{e.value:d}"
+            if self.log:  # a fixed address is tagged once, here
+                a = "k" + a
+                self.ns.setdefault(a, TaggedAddress(e.value, (("implicit", e.value),)))
+            self.slot(a, ind)
+            return a
+        t = self.temp()
+        if isinstance(e, ir.RMapRead):
+            slot, cells, m = self.slot(self.value(e.key, ind), ind), self.temp(), e.map_index
+            self.emit(ind, f"{cells} = W.get({slot})")
+            self.emit(ind, f"if {cells} is not None and {m:d} in {cells}: {t} = {cells}[{m:d}]")
+            self.emit(ind, "else:")
+            self.emit(ind + 1, f"{cells} = B[{slot}]")
+            self.emit(ind + 1, f"if {cells} is None: raise NeedChoice({slot})")
+            self.emit(ind + 1, f"{t} = {cells}[{m:d}]")
+        elif isinstance(e, ir.RBin) and e.op in ("&&", "||"):
+            left = self.test(e.left, ind)
+            if e.op == "&&":
+                self.emit(ind, f"{t} = 0")
+                self.emit(ind, f"if {left}:")
+            else:
+                self.emit(ind, f"{t} = 1")
+                self.emit(ind, f"if not ({left}):")
+            self.nested(ind + 1, lambda i: self.emit(i, f"{t} = 1 if {self.test(e.right, i)} else 0"),
+                        (t,))
+        elif isinstance(e, ir.RBin) and e.op == "/":
+            right = self.value(e.right, ind)  # the divisor runs first
+            self.emit(ind, f"if {right} == 0: {self.exit('1')}")
+            self.emit(ind, f"{t} = {self.value(e.left, ind)} // {right}")
+        elif isinstance(e, ir.RBin) and e.op in _ARITH:
+            left = self.value(e.left, ind)
+            right = self.value(e.right, ind)
+            self.emit(ind, f"{t} = {left} {_ARITH[e.op]} {right}")
+            # a difference below 0, or a sum or product past the domain, reverts
+            self.emit(ind, f"if {t} {'< 0' if e.op == '-' else '>= L'}: {self.exit('1')}")
+        elif isinstance(e, ir.RNot) or isinstance(e, ir.RBin) and e.op in _CMP:
+            self.emit(ind, f"{t} = 1 if {self.test(e, ind)} else 0")
+        else:
+            raise TypeError(f"cannot compile {e!r}")
+        return t
 
 
-def _compile_stmt(s):
-    if isinstance(s, ir.SRole):
-        i, val = s.index, _compile_expr(s.value)
-        def st(f):
-            f.roles[i] = val(f)
-        return st
-    if isinstance(s, ir.SData):
-        i, val = s.index, _compile_expr(s.value)
-        def st(f):
-            f.data[i] = val(f)
-        return st
-    if isinstance(s, ir.SLocal):
-        i, val = s.slot, _compile_expr(s.value)
-        def st(f):
-            f.locs[i] = val(f)
-        return st
-    if isinstance(s, ir.SMapWrite):
-        m, key, val = s.map_index, _compile_expr(s.key), _compile_expr(s.value)
-        def st(f):
-            slot = f.slot_of[f.use_address(key(f))]
-            f.writes.setdefault(slot, {})[m] = val(f)
-        return st
-    if isinstance(s, (ir.SRequire, ir.SAssert)):
-        cond = _compile_expr(s.cond)
-        # A class, not a shared instance, which would keep every traceback alive.
-        failure = _Revert if isinstance(s, ir.SRequire) else _Fault
-        def st(f):
-            if cond(f) == 0:
-                raise failure
-        return st
-    if isinstance(s, ir.SReturn):
-        def st(f):
-            raise _Return
-        return st
-    if isinstance(s, ir.SIf):
-        cond = _compile_expr(s.cond)
-        body = [_compile_stmt(x) for x in s.body]
-        def st(f):
-            if cond(f) != 0:
-                for b in body:
-                    b(f)
-        return st
-    if isinstance(s, ir.SWhile):
-        cond = _compile_expr(s.cond)
-        body = [_compile_stmt(x) for x in s.body]
-        def st(f):
-            while cond(f) != 0:
-                f.fuel -= 1
-                if f.fuel <= 0:
-                    raise ResourceExhausted("loop fuel exhausted")
-                for b in body:
-                    b(f)
-        return st
-    if isinstance(s, ir.SCall):
-        callee = s.callee
-        client_exprs = [_compile_expr(c) for c in s.client_exprs]
-        arg_exprs = [_compile_expr(a) for a in s.arg_exprs]
-        def st(f):
-            clients = tuple(c(f) for c in client_exprs)
-            args = tuple(a(f) for a in arg_exprs)
-            saved = (f.clients, f.args, f.locs)
-            try:
-                f.functions[callee](f, clients, args)
-            finally:
-                f.clients, f.args, f.locs = saved
-        return st
-    raise TypeError(f"cannot compile statement {s!r}")
-
-
-def _compile_function(fn: ir.IRFunction):
-    body = [_compile_stmt(s) for s in fn.body]
-    n_locals = fn.n_locals
-
-    def invoke(f: _Frame, clients: tuple[int, ...], args: tuple[int, ...]) -> None:
-        f.clients = clients
-        f.args = args
-        f.locs = [0] * n_locals
-        try:
-            for st in body:
-                st(f)
-        except _Return:
-            pass
-    return invoke
+def _generate(bundle: ContractBundle, log: bool) -> dict:
+    """``{(contract, name): generated function}`` for every IR function; each
+    code object is named after its MicroSol function, as in ``<msolv
+    Auction.bid>``, for profiles and tracebacks."""
+    names = {key: f"f{i}" for i, key in enumerate(bundle.all_functions)}
+    ns = {"NeedChoice": NeedChoice, "ResourceExhausted": ResourceExhausted, "_log": _log_use}
+    for (contract, name), fn in bundle.all_functions.items():
+        source = "\n".join(_Gen(fn, names[contract, name], names, log, ns).defs)
+        where = f"<msolv {bundle.unit.contracts[contract].name}.{name}>"
+        exec(compile(source, where, "exec"), ns)
+    return {key: ns[name] for key, name in names.items()}
 
 
 class _CompiledBundle(NamedTuple):
     guards: tuple[int, ...]  # the senders the implicit guards turn away
-    functions: dict  # {(contract, name): invoke}
+    functions: dict  # {(contract, name): generated function}
+    logged: dict  # the same, logging every address use
 
 
 def _compiled(bundle: ContractBundle) -> _CompiledBundle:
     cb = getattr(bundle, "_compiled_cache", None)
     if cb is None:
         cb = _CompiledBundle((ZERO_ACCOUNT, *bundle.contract_accounts),
-                             {key: _compile_function(fn)
-                              for key, fn in bundle.all_functions.items()})
+                             _generate(bundle, False), _generate(bundle, True))
         bundle._compiled_cache = cb  # type: ignore[attr-defined]
     return cb
 
@@ -466,32 +469,33 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
                      action: Action, limit: int,
                      uses) -> tuple[str, ControlState | None, dict[int, dict[int, int]]]:
     """Run the body of a transaction that :func:`_settle` let through, from
-    ``control`` over the map vectors ``base``. Returns ``(outcome,
+    ``control`` over ``base``, each slot's map vector or None. Returns ``(outcome,
     control_after, writes)`` as :class:`Leaf` has them: the writes of an
     "ok" run, none otherwise.
 
-    A read of a slot ``base`` has no vector for raises NeedChoice. When
+    A read of a slot whose vector is None raises NeedChoice. When
     ``uses`` is a dict, every use is logged with its provenance: clients
-    and roles are tagged here, fixed addresses when they are compiled.
+    and roles are tagged here, fixed addresses when they are generated.
     """
-    roles = list(control.roles)
-    f = _Frame(roles, list(control.data), slot_of, base, limit, uses, cb.functions)
-    clients = action.clients
-    if uses is not None:
-        clients = tuple(TaggedAddress(c, (("explicit", i),))
-                        for i, c in enumerate(clients))
-        for i, v in enumerate(roles):
-            roles[i] = TaggedAddress(v, (("transient", i),))
+    roles, data, writes = list(control.roles), list(control.data), {}
     try:
-        cb.functions[(0, action.tx)](f, clients, action.args)
-    except _Revert:
-        return "revert", control, {}
-    except _Fault:
-        return "bottom", None, {}
+        if uses is None:
+            code = cb.functions[0, action.tx](roles, data, slot_of, writes, base, limit,
+                                              [DEFAULT_FUEL], action.clients, action.args)
+        else:
+            roles = [TaggedAddress(v, (("transient", i),)) for i, v in enumerate(roles)]
+            clients = tuple(TaggedAddress(c, (("explicit", i),))
+                            for i, c in enumerate(action.clients))
+            code = cb.logged[0, action.tx](roles, data, slot_of, writes, base, limit,
+                                           [DEFAULT_FUEL], uses, clients, action.args)
     except RecursionError:  # a call chain deeper than Python's stack
         raise ResourceExhausted("call depth exhausted") from None
+    if code == 1:
+        return "revert", control, {}
+    if code == 2:
+        return "bottom", None, {}
     # Only a first constructor run or a run after construction gets here.
-    return "ok", ControlState(tuple(map(int, roles)), tuple(f.data), 1), f.writes
+    return "ok", ControlState(tuple(map(int, roles)), tuple(data), 1), writes
 
 
 def step(bundle: ContractBundle, state: BundleState, action: Action,
@@ -502,12 +506,12 @@ def step(bundle: ContractBundle, state: BundleState, action: Action,
         raise ValueError("cannot step from the error state")
     cb = _compiled(bundle)
     users = state.users
-    slot_of = _slot_of(tuple([u.id for u in users]))
+    ids, vectors = zip(*users)
+    slot_of = _slot_of(ids)
     outcome = _settle(cb, control, slot_of, action, None)
     if outcome is None:
-        outcome, post, writes = _run_transaction(
-            cb, control, slot_of, {i: u.map_vals for i, u in enumerate(users)},
-            action, domain.limit, None)
+        outcome, post, writes = _run_transaction(cb, control, slot_of, vectors, action,
+                                                 domain.limit, None)
         if outcome == "ok":
             out = list(users)
             for slot, cells in writes.items():
@@ -557,17 +561,19 @@ def explore(bundle: ContractBundle, control: ControlState, ids: tuple[int, ...],
                      guard_uses or {})]
     leaves: list[Leaf] = []
 
-    def run(assignment: dict[int, tuple[int, ...]]):
+    def run(assignment: dict[int, tuple[int, ...]], base: list):
         uses = None if guard_uses is None else {
             a: set(origins) for a, origins in guard_uses.items()}
         try:
-            outcome, post, writes = _run_transaction(cb, control, slot_of, assignment,
+            outcome, post, writes = _run_transaction(cb, control, slot_of, base,
                                                      action, domain.limit, uses)
         except NeedChoice as nc:
+            fork = list(base)  # the forks share it: each one sets nc.slot and copies it to fork again
             for v in domains[nc.slot]:
-                run({**assignment, nc.slot: v})
+                fork[nc.slot] = v
+                run({**assignment, nc.slot: v}, fork)
             return
         leaves.append(Leaf(assignment, outcome, post, writes, uses or {}))
 
-    run({})
+    run({}, [None] * len(ids))
     return leaves
