@@ -332,11 +332,115 @@ def source_file(tmp_path_factory):
 def test_parse_token_streams_never_traceback(source_file, source):
     """Any token stream parses, or exits 2 with one ``msolv:`` line."""
     source_file.write_text(source)
+    _exits_cleanly(["parse", str(source_file)])
+
+
+def _exits_cleanly(argv, verdicts=(0,)) -> int:
+    """Run ``msolv`` and require one of the ``verdicts`` exit codes with
+    nothing on stderr, or exit 2 with exactly one ``msolv:`` line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["parse", str(source_file)])
-    if code == 0:
+        code = main(argv)
+    if code in verdicts:
         assert err.getvalue() == ""
     else:
-        assert code == 2 and out.getvalue() == ""
+        assert code == 2 and out.getvalue() == "", (code, err.getvalue())
         assert err.getvalue().startswith("msolv: ") and err.getvalue().count("\n") == 1
+    return code
+
+
+# Specs from the spec grammar over auction's names, where any subterm may
+# instead be a random s-expression: a list in operator position, a numeral
+# in an odd place, an unbalanced parenthesis.
+SPEC_ATOMS = ["invariant", "property", "k", "xi", "lit", "role", "else", "guard-lit",
+              "guard-role", "slot", "map", "data", "and", "or", "not", "=>", "=", "!=",
+              "<", ">", "<=", ">=", "+", "-", "*", "/", "true", "false", "leadingBid",
+              "manager", "bids", "stopped", "_sum", "0", "1", "2", "3", "007", "-1",
+              "99999999999999999999", "x", ";", ")", "("]
+
+
+def _sexpr(*parts) -> str:
+    return "(" + " ".join(parts) + ")"
+
+
+_noise = st.recursive(st.sampled_from(SPEC_ATOMS),
+                      lambda inner: st.lists(inner, max_size=4).map(lambda xs: _sexpr(*xs)),
+                      max_leaves=8)
+_numerals = st.sampled_from(["0", "1", "2", "3", "007"])
+_slots = st.sampled_from(["0", "0", "1"])
+
+
+def _specs(noise):
+    """Spec texts from the grammar; ``noise`` may stand for any subterm."""
+    nums = st.deferred(lambda: st.one_of(
+        _numerals, noise,
+        st.builds(_sexpr, st.just("data"), st.sampled_from(["leadingBid", "_sum", "2"])),
+        st.builds(_sexpr, st.just("map"), _slots, st.sampled_from(["bids", "0"])),
+        st.builds(_sexpr, st.sampled_from(["+", "-", "*", "/"]), nums, nums)))
+    preds = st.deferred(lambda: st.one_of(
+        st.sampled_from(["true", "false"]), noise,
+        st.builds(_sexpr, st.sampled_from(["=", "!=", "<", ">", "<=", ">="]), nums, nums),
+        st.builds(_sexpr, st.sampled_from(["and", "or", "=>"]), preds, preds),
+        st.builds(_sexpr, st.just("not"), preds)))
+    invariant = st.tuples(st.lists(st.one_of(
+        st.builds(_sexpr, st.just("lit"), _numerals, preds),
+        st.builds(_sexpr, st.just("role"), st.sampled_from(["manager", "0"]), preds),
+        noise), max_size=2), st.builds(_sexpr, st.just("else"), preds)).map(
+        lambda items: _sexpr("invariant", *items[0], items[1]))
+    prop = st.tuples(
+        st.builds(_sexpr, st.just("k"), st.sampled_from(["1", "1", "2", "0"])),
+        st.lists(st.one_of(
+            st.builds(_sexpr, st.just("guard-lit"), _numerals, st.just("slot"), _slots),
+            st.builds(_sexpr, st.just("guard-role"), st.just("manager"), st.just("slot"),
+                      _slots), noise), max_size=2),
+        st.builds(_sexpr, st.just("xi"), preds)).map(
+        lambda p: _sexpr("property", p[0], *p[1], p[2]))
+    return st.tuples(st.one_of(st.just(""), invariant),
+                     st.lists(st.one_of(prop, noise), min_size=1, max_size=2)).map(
+        lambda forms: "\n".join([forms[0], *forms[1]]))
+
+
+# Two guards on one slot is a UserWarning, which pytest would otherwise collect.
+@pytest.mark.filterwarnings("ignore:.*carries .* guards")
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_specs(st.nothing()), _specs(_noise)))
+def test_spec_sexpressions_never_traceback(source_file, spec):
+    """Any spec gives a neighbourhood and then a width-1 verdict, safe (0) or
+    a counterexample (1), or exits 2 with one ``msolv:`` line."""
+    spec_file = source_file.with_name("s.spec")
+    spec_file.write_text(spec)
+    if _exits_cleanly(["neighbourhood", AUCTION, str(spec_file)]) == 0:
+        _exits_cleanly(["check", AUCTION, str(spec_file), "--width", "1",
+                        "--budget-secs", "2"], verdicts=(0, 1))
+
+
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 6), st.sampled_from(
+        ["constructor", "bid", "withdraw", "stop", "nope", "", 1.5, 2 ** 70])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["tx", "clients", "args", "x"]),
+                                            inner, max_size=3)),
+    max_leaves=12)
+# Mostly the declared shapes, with absent users, out-of-domain arguments
+# and the odd wrong count.
+_entries = st.sampled_from([("constructor", 2, 0), ("bid", 1, 1), ("bid", 1, 1),
+                            ("withdraw", 1, 0), ("stop", 1, 0), ("constructor", 2, 0),
+                            ("bid", 1, 1), ("withdraw", 1, 0), ("bid", 1, 0),
+                            ("nope", 1, 0)]).flatmap(
+    lambda shape: st.fixed_dictionaries({
+        "tx": st.just(shape[0]),
+        "clients": st.lists(st.sampled_from([2, 3, 2, 3, 0, 1, 2, 3, 4, -1]),
+                            min_size=shape[1], max_size=shape[1]),
+        "args": st.lists(st.sampled_from([3, 1, 2, 0, 3, 1, 2, 0, 4, -1]),
+                         min_size=shape[2], max_size=shape[2])}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.lists(_entries, max_size=5), _json_values).map(json.dumps)
+       | st.text(alphabet='[]{}",:0123456789 txargs', max_size=30))
+def test_simulate_traces_never_traceback(source_file, trace):
+    """Any trace file simulates, or exits 2 with one ``msolv:`` line."""
+    trace_file = source_file.with_name("trace.json")
+    trace_file.write_text(trace)
+    _exits_cleanly(["simulate", AUCTION, "--trace", str(trace_file), "--users", "4",
+                    "--width", "2"])

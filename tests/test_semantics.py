@@ -1,5 +1,7 @@
+import cProfile
 import gc
 import itertools
+import pstats
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msolv
+from msolv import ir
 from msolv.errors import ResourceExhausted, TooFewUsers, UnknownFunction
 from msolv.semantics import (BOTTOM, Action, BundleState, ControlState,
                              DataDomain, UserRecord, apply_writes, enumerate_actions,
@@ -119,6 +122,13 @@ def test_reverting_steps_keep_no_objects_alive(auction, w8):
     gc.collect()
     grown = len(gc.get_objects()) - before
     assert grown < 100, grown
+
+
+def test_profiles_name_the_microsol_function(auction, w8):
+    s = step(auction, init_state(auction, range(4)), ctor(3, 2), w8)
+    profile = cProfile.Profile()
+    profile.runcall(step, auction, s, bid(3, 10), w8)
+    assert "<msolv Auction.bid>" in {file for file, _, _ in pstats.Stats(profile).stats}
 
 
 def test_step_determinism_and_address_preservation(auction, w8):
@@ -246,6 +256,70 @@ def test_explore_forks_the_left_operand_first():
         [(3, (0,)), (2, (0,))], [(3, (0,)), (2, (1,))],
         [(3, (1,)), (2, (0,))], [(3, (1,)), (2, (1,))]]
     assert [leaf.outcome for leaf in leaves] == ["ok", "ok", "ok", "revert"]
+
+
+def test_a_callee_leaves_the_callers_locals_and_control_alone(w8):
+    # The callee's local shares the caller's slot number, and its return ends
+    # only the callee.
+    b = msolv.load("contract C { uint x; uint y; constructor() public { } "
+                   "function f() public { uint i; i = 5; g(); x = i; y = 1; } "
+                   "function g() public { uint i; i = 7; return; } }")
+    s = step(b, init_state(b, range(3)), Action("constructor", (2,), ()), w8)
+    assert step(b, s, Action("f", (2,), ()), w8).control.data == (5, 1)
+
+
+def test_nested_loops_share_one_fuel_per_transaction():
+    # n + n*n loop rounds: 40,200 fit the 65,536 of one transaction, 90,300
+    # do not, though no single call runs more than n = 300.
+    b = msolv.load("contract C { uint x; constructor() public { } "
+                   "function f(uint n) public { uint i; while (i < n) { i = i + 1; g(n); } } "
+                   "function g(uint n) public { uint j; while (j < n) { j = j + 1; } x = x + 1; } }")
+    d = DataDomain(17)
+    s = step(b, init_state(b, range(3)), Action("constructor", (2,), ()), d)
+    assert step(b, s, Action("f", (2,), (200,)), d).control.data == (200,)
+    with pytest.raises(ResourceExhausted, match="loop fuel"):
+        step(b, s, Action("f", (2,), (300,)), d)
+
+
+def _first_leaves(src: str, name: str, clients: tuple, log_uses: bool = False):
+    b = msolv.load(src)
+    d = DataDomain(1)
+    return explore(b, ControlState((), (0,), 1), (0, 1, 2, 3, 4), [((0,), (1,))] * 5,
+                   Action(name, clients, ()), d, log_uses=log_uses)
+
+
+def test_explore_faults_on_a_used_address_before_forking_on_what_follows():
+    # In source an address operand never reads a map, so the comparison is
+    # built in IR: its right operand forks, its left address is absent.
+    b = _order_contract("")
+    b.all_functions[0, "f"] = ir.IRFunction("f", 1, 0, 0, (ir.SRequire(ir.RBin(
+        "==", ir.RAddrLit(7), ir.RMapRead(0, ir.RClient(0)), True)),))
+    leaves = explore(b, ControlState((), (0,), 1), (0, 1, 2, 3), [((0,), (1,))] * 4,
+                     Action("f", (2,), ()), DataDomain(1))
+    assert [(leaf.assignment, leaf.outcome) for leaf in leaves] == [({}, "bottom")]
+    # A map write uses its key before its value runs.
+    (leaf,) = _first_leaves("contract C { mapping(address => uint) m; constructor() public { } "
+                            "function f() public { m[address(7)] = m[msg.sender]; } }",
+                            "f", (3,))
+    assert (leaf.assignment, leaf.outcome) == ({}, "bottom")
+
+
+def test_call_clients_run_before_arguments_each_left_to_right():
+    src = ("contract C { uint x; mapping(address => uint) m; constructor() public { } "
+           # the absent client faults before either argument forks
+           "function f(address p) public { g(m[p], address(7), m[msg.sender]); } "
+           "function g(uint u, address a, uint v) public { x = u; } "
+           # the arguments fork in order: p's slot first
+           "function k(address p) public { h(m[p], m[msg.sender]); } "
+           "function h(uint u, uint v) public { x = u + v; } "
+           # the clients are used in order: 3, then 2
+           "function c() public { two(address(3), address(2)); } "
+           "function two(address a, address b) public { } }")
+    assert [(leaf.assignment, leaf.outcome) for leaf in _first_leaves(src, "f", (3, 4))] == [
+        ({}, "bottom")]
+    assert [list(leaf.assignment) for leaf in _first_leaves(src, "k", (3, 4))] == [[4, 3]] * 4
+    (leaf,) = _first_leaves(src, "c", (4,), log_uses=True)
+    assert list(leaf.uses) == [4, 0, 1, 3, 2]
 
 
 def read_multi_src() -> str:
