@@ -201,6 +201,7 @@ def apply_writes(vec: tuple[int, ...], cells: dict[int, int] | None) -> tuple[in
 # roles, data, slot_of, writes, base (by slot, the map vector the run may
 # read, or None), the domain limit, and a one-element list holding the loop fuel
 _STATE = ("R", "D", "S", "W", "B", "L", "F")
+# an IR operator to the generator's own spelling of it
 _CMP = {op: op for op in ("==", "!=", "<", ">")}
 _ARITH = {op: op for op in ("+", "*", "-")}
 # CPython compiles at most 20 nested loops and 100 levels of indentation, so
@@ -232,9 +233,9 @@ class _Gen:
         self.temps = 0
         self.outs = None  # a helper returns (code, *outs); the function itself just the code
         self.lines = [f"def {name}({', '.join(self.state)}, C, A):"]
-        for names, given in ((clients, "C"), (args, "A")):
-            if names:
-                self.emit(1, f"{_tuple(names)} = {given}")
+        for params, given in ((clients, "C"), (args, "A")):
+            if params:
+                self.emit(1, f"{_tuple(params)} = {given}")
         if self.locals:
             self.emit(1, f"{' = '.join(self.locals)} = 0")
         self.block(fn.body, 1)

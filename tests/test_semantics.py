@@ -131,6 +131,15 @@ def test_profiles_name_the_microsol_function(auction, w8):
     assert "<msolv Auction.bid>" in {file for file, _, _ in pstats.Stats(profile).stats}
 
 
+def test_python_keywords_name_microsol_things(w8):
+    # No MicroSol name reaches the generated code, so Python's words are free.
+    b = msolv.load("contract lambda { uint def; address None; "
+                   "constructor() public { None = msg.sender; } "
+                   "function import(uint return_) public { def = return_ + 1; } }")
+    s = step(b, init_state(b, range(3)), Action("constructor", (2,), ()), w8)
+    assert step(b, s, Action("import", (2,), (4,)), w8).control == ControlState((2,), (5,), 1)
+
+
 def test_step_determinism_and_address_preservation(auction, w8):
     s = init_state(auction, range(4))
     act = ctor(3, 2)
