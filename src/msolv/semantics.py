@@ -569,7 +569,9 @@ def explore(bundle: ContractBundle, control: ControlState, ids: tuple[int, ...],
             outcome, post, writes = _run_transaction(cb, control, slot_of, base,
                                                      action, domain.limit, uses)
         except NeedChoice as nc:
-            fork = list(base)  # the forks share it: each one sets nc.slot and copies it to fork again
+            # One copy serves every value of nc.slot: a run only reads its
+            # base, and a deeper fork copies it again.
+            fork = list(base)
             for v in domains[nc.slot]:
                 fork[nc.slot] = v
                 run({**assignment, nc.slot: v}, fork)
