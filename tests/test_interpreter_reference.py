@@ -211,7 +211,8 @@ DEEP_TRACE = [{"tx": "constructor", "clients": [2], "args": []}] + [
 @pytest.mark.parametrize("name", sorted(DEEP_SOURCES))
 def test_deep_nesting_simulates_as_before(name, tmp_path, capsys):
     """Bodies nested deeper than CPython compiles in one function run, and
-    ``simulate`` prints what the closure interpreter printed for them."""
+    ``simulate`` prints the output in ``tests/data/deep_nesting.json``,
+    recorded before the interpreter generated code."""
     src, trace = tmp_path / "deep.msol", tmp_path / "trace.json"
     src.write_text(DEEP_SOURCES[name])
     trace.write_text(json.dumps(DEEP_TRACE))
