@@ -3,11 +3,10 @@ bundles from interference invariants, and model-check guarded safety
 properties with an exhaustive oracle to cross-check the proof rules."""
 
 from .checker import (Stats, Trace, Verdict, check_compositional, check_safety,
-                      global_oracle, replay_trace, verdict_to_json)
+                      check_spec, global_oracle, replay_trace, verdict_to_json)
 from .errors import (BudgetExceeded, MicroSolSyntaxError, MsolvError,
-                     PreconditionUnmet, ResourceExhausted, SpecBindingError,
-                     SpecSyntaxError, TooFewUsers, UnknownFunction,
-                     ValidationError)
+                     ResourceExhausted, SpecBindingError, SpecSyntaxError,
+                     TooFewUsers, UnknownFunction, ValidationError)
 from .localization import (Neighbourhood, extend_neighbourhood,
                            interference_successors, local_step,
                            saturating_neighbourhood)

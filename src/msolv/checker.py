@@ -1,5 +1,6 @@
 """Reachability checkers: the compositionality and safety proof rules over
-local bundles, and the exhaustive global oracle they are validated against.
+local bundles, ``check_spec`` that gates the second on the first, and the
+exhaustive global oracle they are validated against.
 
 The local engine explores product classes instead of single states: after
 interference, every user's map vector ranges over exactly the invariant's
@@ -19,9 +20,9 @@ import itertools
 import math
 import time
 
-from .errors import BudgetExceeded, InputError, PreconditionUnmet, within
+from .errors import BudgetExceeded, InputError, within
 from .localization import allowed_vectors, rule_neighbourhood
-from .properties import (GuardedProperty, SplitInvariant, check_universal,
+from .properties import (GuardedProperty, SpecFile, SplitInvariant, check_universal,
                          eval_guarded, eval_split)
 from .ptg import PtGraph
 from .record import Record
@@ -70,13 +71,14 @@ def _control_json(c):
     return "bottom"
 
 
-def _state_json(s: BundleState) -> dict:
-    return {"control": _control_json(s.control),
-            "users": [{"id": u.id, "maps": list(u.map_vals)} for u in s.users]}
-
-
-def _action_json(a: Action) -> dict:
-    return {"tx": a.tx, "clients": list(a.clients), "args": list(a.args)}
+def trace_to_json(trace: Trace) -> list[dict]:
+    """The initial state, then one ``{action, state}`` entry per step."""
+    states = [{"control": _control_json(s.control),
+               "users": [{"id": u.id, "maps": list(u.map_vals)} for u in s.users]}
+              for s in trace.states]
+    return [{"state": states[0]}] + [
+        {"action": {"tx": a.tx, "clients": list(a.clients), "args": list(a.args)}, "state": s}
+        for a, s in zip(trace.actions, states[1:])]
 
 
 def verdict_to_json(v: Verdict) -> dict:
@@ -84,10 +86,7 @@ def verdict_to_json(v: Verdict) -> dict:
     if v.result == "safe":
         out["invariant"] = [_control_json(c) for c in v.invariant]
     if v.trace is not None:
-        entries: list[dict] = [{"state": _state_json(v.trace.states[0])}]
-        for act, st in zip(v.trace.actions, v.trace.states[1:]):
-            entries.append({"action": _action_json(act), "state": _state_json(st)})
-        out["trace"] = entries
+        out["trace"] = trace_to_json(v.trace)
     if v.reason:
         out["reason"] = v.reason
     out["stats"] = {"states": v.stats.states, "transitions": v.stats.transitions,
@@ -375,28 +374,37 @@ def check_compositional(bundle: ContractBundle, ptg: PtGraph, theta: SplitInvari
 def check_safety(bundle: ContractBundle, ptg: PtGraph, theta: SplitInvariant,
                  phi: GuardedProperty, domain: DataDomain, *,
                  budget_states: int = DEFAULT_BUDGET_STATES,
-                 budget_secs: float = DEFAULT_BUDGET_SECS,
-                 require_interference_invariant: bool = True) -> Verdict:
+                 budget_secs: float = DEFAULT_BUDGET_SECS) -> Verdict:
     """The k-universal safety proof rule over the local bundle.
 
     The neighbourhood is saturated for the union of the invariant's and the
     property's guards, then extended with max(0, k - |exp|) fresh addresses.
-    A Safe answer lifts to every network size only when the invariant is an
-    interference invariant, so by default the compositionality rule runs
-    first and a failure raises PreconditionUnmet. Passing
-    ``require_interference_invariant=False`` skips that gate and makes this
-    a bounded local-bundle search whose Safe answer carries no universal
-    guarantee by itself.
+    This is the bare rule: its Safe answer lifts to every network size only
+    when ``theta`` is an interference invariant, which ``check_spec`` checks
+    first.
     """
-    if require_interference_invariant:
-        comp = check_compositional(bundle, ptg, theta, domain,
-                                   budget_states=budget_states,
-                                   budget_secs=budget_secs)
-        if not comp.is_safe:
-            raise PreconditionUnmet(
-                f"the invariant is not an interference invariant ({comp.result})")
     _, a_plus = rule_neighbourhood(ptg, theta, phi)
     return _LocalEngine(bundle, theta, a_plus, domain, budget_states, budget_secs).run(phi)
+
+
+def check_spec(bundle: ContractBundle, ptg: PtGraph, spec: SpecFile, domain: DataDomain,
+               *, assume_invariant: bool = False,
+               budget_states: int = DEFAULT_BUDGET_STATES,
+               budget_secs: float = DEFAULT_BUDGET_SECS) -> dict[str, Verdict]:
+    """The gated check ``msolv check`` runs: the compositionality rule on the
+    spec's invariant, keyed "compositionality", then, if it holds, the
+    safety rule for each property, keyed by its name. ``assume_invariant``
+    skips the gate, so a Safe then certifies the local bundle only."""
+    budgets = {"budget_states": budget_states, "budget_secs": budget_secs}
+    results: dict[str, Verdict] = {}
+    if not assume_invariant:
+        results["compositionality"] = check_compositional(
+            bundle, ptg, spec.invariant, domain, **budgets)
+    if all(v.is_safe for v in results.values()):
+        for prop in spec.properties:
+            results[prop.name] = check_safety(
+                bundle, ptg, spec.invariant, prop, domain, **budgets)
+    return results
 
 
 def global_oracle(bundle: ContractBundle, n: int, phi: GuardedProperty,

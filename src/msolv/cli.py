@@ -16,8 +16,8 @@ import sys
 
 from . import ast_nodes
 from .checker import (DEFAULT_BUDGET_SECS, DEFAULT_BUDGET_STATES, DEFAULT_ORACLE_BUDGET_SECS,
-                      Verdict, check_compositional, check_safety, global_oracle,
-                      verdict_to_json, _action_json, _state_json)
+                      Trace, Verdict, check_spec, global_oracle, trace_to_json,
+                      verdict_to_json)
 from .errors import InputError, MsolvError, TooFewUsers
 from .localization import rule_neighbourhood
 from .parser import parse
@@ -93,7 +93,11 @@ def _load_bundle(path: str):
 
 
 def _load_spec(path: str, layout):
-    return parse_spec(_read_text(path), layout)
+    """The parsed spec; each of its warnings goes to stderr as one line."""
+    spec = parse_spec(_read_text(path), layout)
+    for warning in spec.warnings:
+        print(f"msolv: warning: {warning}", file=sys.stderr)
+    return spec
 
 
 def _print_json(payload: dict) -> None:
@@ -210,14 +214,13 @@ def _cmd_simulate(args) -> int:
     bundle = _load_bundle(args.contract)
     domain = DataDomain(args.width)
     actions = _load_actions(args.trace, bundle, domain)
-    state = init_state(bundle, range(args.users))
-    out = [{"state": _state_json(state)}]
+    states = [init_state(bundle, range(args.users))]
     for action in actions:
-        state = step(bundle, state, action, domain)
-        out.append({"action": _action_json(action), "state": _state_json(state)})
-        if state.is_bottom:
+        if states[-1].is_bottom:
             break
-    _print_json({"trace": out})
+        states.append(step(bundle, states[-1], action, domain))
+    trace = Trace(tuple(states), tuple(actions[:len(states) - 1]))
+    _print_json({"trace": trace_to_json(trace)})
     return EXIT_SAFE
 
 
@@ -240,16 +243,8 @@ def _cmd_check(args) -> int:
     domain = DataDomain(args.width)
     spec = _load_spec(args.spec, bundle.layout)
     graph = build_ptg(taint_summary(bundle))
-    budgets = {"budget_states": args.budget_states, "budget_secs": args.budget_secs}
-    results: dict[str, Verdict] = {}
-    if not args.assume_invariant:
-        results["compositionality"] = check_compositional(
-            bundle, graph, spec.invariant, domain, **budgets)
-    if all(v.is_safe for v in results.values()):
-        for prop in spec.properties:
-            results[prop.name] = check_safety(
-                bundle, graph, spec.invariant, prop, domain,
-                require_interference_invariant=False, **budgets)
+    results = check_spec(bundle, graph, spec, domain, assume_invariant=args.assume_invariant,
+                         budget_states=args.budget_states, budget_secs=args.budget_secs)
     return _emit_verdicts(results, args.format)
 
 

@@ -77,10 +77,6 @@ def within(deadline: float, items: Iterable[_T]) -> Iterator[_T]:
         yield item
 
 
-class PreconditionUnmet(MsolvError):
-    """A checker entry point was called without its required prior result."""
-
-
 class ResourceExhausted(MsolvError):
     """Runaway execution (loop fuel or call depth) aborted; a tool error, not
     a verdict."""

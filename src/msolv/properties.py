@@ -21,7 +21,6 @@ import itertools
 import math
 import operator
 import re
-import warnings
 from typing import Union
 
 from .errors import SpecBindingError, SpecSyntaxError, within
@@ -246,6 +245,18 @@ class SpecFile(Record):
     invariant: SplitInvariant
     has_invariant: bool
 
+    @property
+    def warnings(self) -> list[str]:
+        """One line per property slot with two or more guards: the property
+        is vacuous there unless they coincide."""
+        out = []
+        for p in self.properties:
+            slots = [s for _, s in (*p.lits, *p.roles)]
+            out += [f"{p.name}: slot {s} carries {slots.count(s)} guards; the "
+                    "property is vacuous unless they coincide"
+                    for s in sorted(set(slots)) if slots.count(s) > 1]
+        return out
+
 
 def parse_spec(text: str, layout: VariableLayout | None = None) -> SpecFile:
     """Parse a spec file holding at most one invariant and any number of
@@ -305,16 +316,6 @@ def _parse_property(form: list, layout: VariableLayout | None, name: str) -> Gua
             raise SpecSyntaxError(f"unknown property item {_quote(item[0])}")
     if xi is None:
         raise SpecSyntaxError("property needs an (xi EXPR)")
-    by_slot: dict[int, set] = {}
-    for a, s in lits:
-        by_slot.setdefault(s, set()).add(("lit", a))
-    for r, s in roles:
-        by_slot.setdefault(s, set()).add(("role", r))
-    for s, gs in by_slot.items():
-        if len(gs) > 1:
-            warnings.warn(
-                f"{name}: slot {s} carries {len(gs)} guards; the property is "
-                "vacuous unless they coincide", stacklevel=2)
     return GuardedProperty(k, frozenset(lits), frozenset(roles), xi, name)
 
 

@@ -129,8 +129,8 @@ def enumerate_actions(bundle: ContractBundle, addresses: Iterable[int],
 
 
 def swap_addresses(obj, x: int, y: int):
-    """Exchange addresses x and y wherever they appear as ids, role values,
-    or action clients; map values and numeric data are untouched."""
+    """A state or action with addresses x and y exchanged as ids, role
+    values and clients; map values and numeric data are untouched."""
     def sw(a: int) -> int:
         if a == x:
             return y
@@ -145,12 +145,8 @@ def swap_addresses(obj, x: int, y: int):
                                    control.data, control.ctor_done)
         return BundleState(control,
                            tuple(UserRecord(sw(u.id), u.map_vals) for u in obj.users))
-    if isinstance(obj, ControlState):
-        return ControlState(tuple(sw(r) for r in obj.roles), obj.data, obj.ctor_done)
     if isinstance(obj, Action):
         return Action(obj.tx, tuple(sw(c) for c in obj.clients), obj.args)
-    if isinstance(obj, UserRecord):
-        return UserRecord(sw(obj.id), obj.map_vals)
     raise TypeError(f"cannot swap addresses in {type(obj).__name__}")
 
 

@@ -10,8 +10,8 @@ import time
 import pytest
 
 import msolv
-from msolv.checker import (check_compositional, check_safety, global_oracle,
-                           replay_trace)
+from msolv.checker import (check_compositional, check_safety, check_spec,
+                           global_oracle, replay_trace)
 from msolv.localization import extend_neighbourhood, saturating_neighbourhood
 from msolv.properties import parse_spec
 from msolv.ptg import (SC, STAR, build_ptg, coverage_violations, semantic_pt,
@@ -99,23 +99,22 @@ def test_criterion_4_safety_rule(env):
 
     # The zero-bid invariant passes the compositionality gate, so the fully
     # gated entry point applies.
-    v1 = check_safety(env["bundle"], env["ptg"], env["spec"].invariant,
-                      env["spec"].properties[0], W3, budget_secs=120.0)
-    checks_ok.append(v1.is_safe)
+    v1 = check_spec(env["bundle"], env["ptg"], env["spec"], W3,
+                    budget_secs=120.0).get(env["spec"].properties[0].name)
+    checks_ok.append(v1 is not None and v1.is_safe)
     _cache["phi1_verdict"] = v1
 
     # The headroom invariant holds on every reachable state but is not
     # closed under whole-network interference, so the gate is skipped; the
     # oracle agreement in criterion 5 backs the verdict instead.
     v2 = check_safety(env["bundle"], env["ptg"], env["p2"].invariant,
-                      env["p2"].properties[0], W3,
-                      require_interference_invariant=False, budget_secs=120.0)
+                      env["p2"].properties[0], W3, budget_secs=120.0)
     checks_ok.append(v2.is_safe)
     _cache["p2_verdict"] = v2
 
-    v3 = check_safety(env["bundle"], env["ptg"], env["weak"].invariant,
-                      env["weak"].properties[0], W3, budget_secs=120.0)
-    shape = (v3.result == "cex_property"
+    v3 = check_spec(env["bundle"], env["ptg"], env["weak"], W3,
+                    budget_secs=120.0).get(env["weak"].properties[0].name)
+    shape = (v3 is not None and v3.result == "cex_property"
              and [a.tx for a in v3.trace.actions[-2:]] == ["bid", "withdraw"])
     if shape:
         sender = v3.trace.actions[-1].clients[0]

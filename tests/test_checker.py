@@ -1,8 +1,5 @@
-import pytest
-
-from msolv.checker import (check_compositional, check_safety, global_oracle,
-                           replay_trace, verdict_to_json)
-from msolv.errors import PreconditionUnmet
+from msolv.checker import (check_compositional, check_safety, check_spec,
+                           global_oracle, replay_trace, verdict_to_json)
 from msolv.properties import eval_split, parse_spec
 from msolv.semantics import DataDomain, enumerate_actions, init_state, step
 
@@ -44,8 +41,7 @@ def test_invariant_violated_by_initial_state(auction, auction_ptg):
     # Safety mode keeps exploring from the unhavocable initial state and
     # still terminates with a sound verdict.
     phi = parse_spec("(property (k 0) (xi (= (data 1) 0)))", auction.layout).properties[0]
-    vs = check_safety(auction, auction_ptg, theta, phi, D2,
-                      require_interference_invariant=False)
+    vs = check_safety(auction, auction_ptg, theta, phi, D2)
     assert vs.result in ("safe", "cex_property")
 
 
@@ -61,28 +57,28 @@ def test_theta_u_is_not_an_interference_invariant(auction, auction_ptg, p2_spec)
 # ---------------------------------------------------------------- Thm 3 rule
 
 def test_phi1_safe(auction, auction_ptg, auction_spec):
-    v = check_safety(auction, auction_ptg, auction_spec.invariant,
-                     auction_spec.properties[0], D2)
-    assert v.is_safe
+    vs = check_spec(auction, auction_ptg, auction_spec, D2)
+    assert list(vs) == ["compositionality", "property-1"]
+    assert all(v.is_safe for v in vs.values())
 
 
-def test_safety_requires_compositionality_by_default(auction, auction_ptg, p2_spec):
-    with pytest.raises(PreconditionUnmet):
-        check_safety(auction, auction_ptg, p2_spec.invariant,
-                     p2_spec.properties[0], D2)
+def test_gate_withholds_the_safety_rule(auction, auction_ptg, p2_spec):
+    vs = check_spec(auction, auction_ptg, p2_spec, D2)
+    assert list(vs) == ["compositionality"]
+    assert vs["compositionality"].result == "cex_invariant"
 
 
 def test_p2_safe_without_gate(auction, auction_ptg, p2_spec):
     v = check_safety(auction, auction_ptg, p2_spec.invariant,
-                     p2_spec.properties[0], D2,
-                     require_interference_invariant=False)
+                     p2_spec.properties[0], D2)
     assert v.is_safe
+    vs = check_spec(auction, auction_ptg, p2_spec, D2, assume_invariant=True)
+    assert {name: w.result for name, w in vs.items()} == {"property-1": "safe"}
 
 
 def test_weak_theta_p2_spurious_counterexample(auction, auction_ptg, p2_weak_spec):
     v = check_safety(auction, auction_ptg, p2_weak_spec.invariant,
-                     p2_weak_spec.properties[0], D2,
-                     require_interference_invariant=False)
+                     p2_weak_spec.properties[0], D2)
     assert v.result == "cex_property"
     assert [a.tx for a in v.trace.actions[-2:]] == ["bid", "withdraw"]
     # Withdraw removed less than was bid: the interference shrank the bid.
@@ -97,8 +93,7 @@ def test_weak_theta_p2_spurious_counterexample(auction, auction_ptg, p2_weak_spe
 def test_false_property_one_action_trace(auction, auction_ptg, auction_spec):
     spec = parse_spec("(property (k 1) (xi (= (map 0 0) 0)))", auction.layout)
     v = check_safety(auction, auction_ptg, auction_spec.invariant,
-                     spec.properties[0], D2,
-                     require_interference_invariant=False)
+                     spec.properties[0], D2)
     assert v.result == "cex_property"
     assert len(v.trace) == 1
     assert any(u.map_vals[0] != 0 for u in v.trace.states[-1].users)
@@ -113,7 +108,7 @@ def test_assert_failure_reaches_cex_property(auction_ptg, w8):
     g = build_ptg(taint_summary(b))
     theta = parse_spec("(invariant (else true))").invariant
     phi = parse_spec("(property (k 0) (xi true))").properties[0]
-    v = check_safety(b, g, theta, phi, w8, require_interference_invariant=False)
+    v = check_safety(b, g, theta, phi, w8)
     assert v.result == "cex_property"
     assert v.trace.states[-1].is_bottom
     assert replay_trace(b, v.trace, w8, theta=theta)

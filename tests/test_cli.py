@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import msolv.checker
 from msolv import lexer
+from msolv.checker import Trace, replay_trace
 from msolv.cli import main
+from msolv.semantics import BOTTOM, Action, BundleState, ControlState, DataDomain, UserRecord
 
 from conftest import DATA
 
@@ -245,6 +247,21 @@ def test_user_errors_exit_two_with_one_line(capsys, tmp_path, argv, files):
     assert err.startswith("msolv: ") and err.count("\n") == 1
 
 
+TWO_GUARDS = "(property (k 1) (guard-lit 0 slot 0) (guard-role manager slot 0) (xi true))"
+
+
+def test_spec_warning_is_one_line_after_the_spec_parses(capsys, tmp_path):
+    argv = ["neighbourhood", AUCTION, "s.spec"]
+    code, _, err = _run_with_files(capsys, tmp_path, argv, {"s.spec": TWO_GUARDS})
+    assert code == 0
+    assert err == ("msolv: warning: property-1: slot 0 carries 2 guards; "
+                   "the property is vacuous unless they coincide\n")
+    code, _, err = _run_with_files(capsys, tmp_path, argv,
+                                   {"s.spec": TWO_GUARDS + " invariant"})
+    assert code == 2
+    assert err.startswith("msolv: SpecSyntaxError: ") and err.count("\n") == 1
+
+
 # f calls itself once per value of x, so at width 16 the chain is deeper
 # than Python's stack; that is a run out of resources, not over-nested input.
 RECURSIVE = "contract C { uint x; constructor() public { } function f() public { x = x + 1; f(); } }"
@@ -289,6 +306,57 @@ def test_one_interpreter_call_per_counted_transition(capsys, monkeypatch):
     assert code == 0 and calls["step"] == transitions(out) > 0
     code, out, _ = run(capsys, "check", AUCTION, SPEC, "--width", "2")
     assert code == 0 and calls["leaves"] == transitions(out) > 0
+
+
+def test_check_runs_the_gate_once(capsys, monkeypatch):
+    """``check`` runs the compositionality rule once for all of a spec's
+    properties, and not at all with ``--assume-invariant``."""
+    calls = []
+    gate = msolv.checker.check_compositional
+
+    def counting_gate(*args, **kwargs):
+        calls.append(args)
+        return gate(*args, **kwargs)
+
+    monkeypatch.setattr(msolv.checker, "check_compositional", counting_gate)
+    argv = ["check", str(DATA / "relay.msol"), str(DATA / "relay.spec"), "--width", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert list(json.loads(out)) == ["compositionality", "property-1", "property-2"]
+    assert (code, len(calls)) == (1, 1)
+    code, out, _ = run(capsys, *argv, "--assume-invariant")
+    assert list(json.loads(out)) == ["property-1", "property-2"]
+    assert (code, len(calls)) == (1, 1)
+
+
+def _trace_from_json(entries) -> Trace:
+    def state(e):
+        c = e["control"]
+        control = BOTTOM if c == "bottom" else ControlState(
+            tuple(c["roles"]), tuple(c["data"]), c["ctor_done"])
+        return BundleState(control, tuple(UserRecord(u["id"], tuple(u["maps"]))
+                                          for u in e["users"]))
+
+    return Trace(tuple(state(e["state"]) for e in entries),
+                 tuple(Action(e["action"]["tx"], tuple(e["action"]["clients"]),
+                              tuple(e["action"]["args"])) for e in entries[1:]))
+
+
+def test_simulate_trace_replays(capsys, tmp_path, auction):
+    """A simulate trace, read back, replays under the global semantics, up
+    to and including a step into the error state, where it ends."""
+    actions = [{"tx": "constructor", "clients": [3, 2]},
+               {"tx": "bid", "clients": [3], "args": [10]},
+               {"tx": "bid", "clients": [4], "args": [12]},
+               {"tx": "withdraw", "clients": [3]},
+               {"tx": "bid", "clients": [4], "args": [5]},   # reverts
+               {"tx": "stop", "clients": [2]},
+               {"tx": "bid", "clients": [7], "args": [1]},   # no user 7: error
+               {"tx": "stop", "clients": [2]}]
+    code, out, _ = _run_with_files(capsys, tmp_path, *_simulate(actions, "--users", "5"))
+    trace = _trace_from_json(json.loads(out)["trace"])
+    assert code == 0 and len(trace) == 7 and trace.states[-1].is_bottom
+    assert trace.states[4] == trace.states[5]
+    assert replay_trace(auction, trace, DataDomain(8))
 
 
 def _python(*args):
@@ -337,15 +405,20 @@ def test_parse_token_streams_never_traceback(source_file, source):
 
 def _exits_cleanly(argv, verdicts=(0,)) -> int:
     """Run ``msolv`` and require one of the ``verdicts`` exit codes with
-    nothing on stderr, or exit 2 with exactly one ``msolv:`` line."""
+    nothing on stderr, or exit 2 with exactly one ``msolv:`` line; either
+    way ``msolv: warning: `` lines may come first."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    lines = err.getvalue().splitlines(keepends=True)
+    while lines and lines[0].startswith("msolv: warning: "):
+        lines.pop(0)
+    errors = "".join(lines)
     if code in verdicts:
-        assert err.getvalue() == ""
+        assert errors == ""
     else:
-        assert code == 2 and out.getvalue() == "", (code, err.getvalue())
-        assert err.getvalue().startswith("msolv: ") and err.getvalue().count("\n") == 1
+        assert code == 2 and out.getvalue() == "", (code, errors)
+        assert errors.startswith("msolv: ") and errors.count("\n") == 1
     return code
 
 
@@ -400,8 +473,6 @@ def _specs(noise):
         lambda forms: "\n".join([forms[0], *forms[1]]))
 
 
-# Two guards on one slot is a UserWarning, which pytest would otherwise collect.
-@pytest.mark.filterwarnings("ignore:.*carries .* guards")
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_specs(st.nothing()), _specs(_noise)))
 def test_spec_sexpressions_never_traceback(source_file, spec):

@@ -187,8 +187,11 @@ def test_predicate_text_is_one_expression():
 
 
 def test_conflicting_guards_warn():
-    with pytest.warns(UserWarning):
-        parse_spec("(property (k 1) (guard-lit 0 slot 0) (guard-lit 3 slot 0) (xi true))")
+    spec = parse_spec("(property (k 2) (guard-lit 0 slot 0) (guard-lit 3 slot 0) "
+                      "(guard-lit 4 slot 1) (xi true))")
+    assert spec.warnings == ["property-1: slot 0 carries 2 guards; the property "
+                             "is vacuous unless they coincide"]
+    assert parse_spec("(property (k 1) (guard-lit 0 slot 0) (xi true))").warnings == []
 
 
 def test_predicate_arithmetic_wraps():

@@ -10,9 +10,8 @@ also checked against a literal search of the local-bundle relation.
 import pytest
 
 import msolv
-from msolv.checker import (check_compositional, check_safety, global_oracle,
-                           replay_trace)
-from msolv.errors import PreconditionUnmet
+from msolv.checker import (check_compositional, check_safety, check_spec,
+                           global_oracle, replay_trace)
 from msolv.localization import (extend_neighbourhood, local_step,
                                 saturating_neighbourhood)
 from msolv.properties import check_universal, eval_split, parse_spec
@@ -60,10 +59,9 @@ def test_gated_safe_verdicts_agree_with_the_oracle(auction_plain, inv_src, prop_
     g = build_ptg(taint_summary(auction_plain))
     spec = parse_spec(inv_src + prop_src, auction_plain.layout)
     theta, phi = spec.invariant, spec.properties[0]
-    try:
-        v = check_safety(auction_plain, g, theta, phi, D1)
-    except PreconditionUnmet:
-        return  # not an interference invariant; the rule refuses, correctly
+    v = check_spec(auction_plain, g, spec, D1).get(phi.name)
+    if v is None:
+        return  # not an interference invariant; the gate refuses, correctly
     if v.trace is not None:
         assert replay_trace(auction_plain, v.trace, D1, theta=theta)
     if v.is_safe:
@@ -112,8 +110,7 @@ def _reference_search(bundle, ptg, theta, phi, domain):
 
 def _assert_engine_matches_reference(bundle, theta, phi, domain):
     ptg = build_ptg(taint_summary(bundle))
-    v = check_safety(bundle, ptg, theta, phi, domain,
-                     require_interference_invariant=False)
+    v = check_safety(bundle, ptg, theta, phi, domain)
     result, detail = _reference_search(bundle, ptg, theta, phi, domain)
     assert v.result == result
     if v.is_safe:
