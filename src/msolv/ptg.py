@@ -12,6 +12,7 @@ role) and "implicit" (a literal address).
 from __future__ import annotations
 
 import itertools
+import operator
 
 from . import ast_nodes as A
 from . import ir
@@ -262,13 +263,19 @@ def semantic_pt(bundle: ContractBundle, n: int, action: Action,
                 domain: DataDomain, budget: int = 2_000_000) -> SemanticPT:
     """Brute-force participation topology of one action in the n-user bundle.
 
-    Enumerates every control state (reachable or not) and every assignment
-    of map vectors, and asks for each user whether some single-user variant
-    of the configuration changes the transaction's outcome (influence), or
+    Covers every control state (reachable or not) and every assignment of
+    map vectors, and asks for each user whether some single-user variant of
+    the configuration changes the transaction's outcome (influence), or
     whether the transaction permanently changes that user (influenced by).
     Variants cover both map values and readdressing the user to a fresh
     address; a user readdressed away faults the run at the first use of its
     old address, which the interpreter's use log pinpoints exactly.
+
+    A control is explored only when no control explored before agrees with
+    it on ``ctor_done`` and on the role and data fields that the earlier
+    one's runs touched. Such a control runs the same paths, and its leaves
+    differ only in untouched fields of ``control_after``, the same in every
+    leaf, so it attributes nothing new. ``budget`` caps the paths explored.
     """
     ids = tuple(range(n))
     vectors = tuple(itertools.product(domain.values(), repeat=bundle.n_maps))
@@ -276,8 +283,21 @@ def semantic_pt(bundle: ContractBundle, n: int, action: Action,
     pt = SemanticPT(set(), set(), set(), set())
     work = 0
     id_set = set(ids)
+    # Controls as flat tuples (ctor_done, *roles, *data). For each set of
+    # positions that an explored control's runs touched: its getter, and the
+    # values there of every control explored with that set.
+    explored: dict[tuple, tuple] = {}
     for control in _controls(bundle, n, domain):
-        leaves = explore(bundle, control, ids, domains, action, domain, log_uses=True)
+        flat = (control.ctor_done, *control.roles, *control.data)
+        if any(get(flat) in seen for get, seen in explored.values()):
+            continue
+        touched = (set(), set())
+        leaves = explore(bundle, control, ids, domains, action, domain,
+                         log_uses=True, touched=touched)
+        fields = (0, *sorted(1 + i for i in touched[0]),
+                  *sorted(1 + bundle.n_roles + i for i in touched[1]))
+        get, seen = explored.setdefault(fields, (operator.itemgetter(*fields), set()))
+        seen.add(get(flat))
         work += len(leaves)
         if work > budget:
             raise BudgetExceeded(f"semantic_pt budget of {budget} paths exceeded")

@@ -173,6 +173,25 @@ class TaggedAddress(int):
         return self
 
 
+class _Touched(list):
+    """A run's roles or data in the logging mode, noting in ``seen`` the
+    index of every read and every write."""
+
+    __slots__ = ("seen",)
+
+    def __init__(self, values, seen: set):
+        super().__init__(values)
+        self.seen = seen
+
+    def __getitem__(self, i):
+        self.seen.add(i)
+        return list.__getitem__(self, i)
+
+    def __setitem__(self, i, v):
+        self.seen.add(i)
+        list.__setitem__(self, i, v)
+
+
 def apply_writes(vec: tuple[int, ...], cells: dict[int, int] | None) -> tuple[int, ...]:
     """``vec`` with the cells one slot's writes overwrote."""
     if not cells:
@@ -463,8 +482,8 @@ def _settle(cb: _CompiledBundle, control: ControlState, slot_of: dict[int, int],
 
 def _run_transaction(cb: _CompiledBundle, control: ControlState,
                      slot_of: dict[int, int], base: dict[int, tuple[int, ...]],
-                     action: Action, limit: int,
-                     uses) -> tuple[str, ControlState | None, dict[int, dict[int, int]]]:
+                     action: Action, limit: int, uses,
+                     touched=None) -> tuple[str, ControlState | None, dict[int, dict[int, int]]]:
     """Run the body of a transaction that :func:`_settle` let through, from
     ``control`` over ``base``, each slot's map vector or None. Returns ``(outcome,
     control_after, writes)`` as :class:`Leaf` has them: the writes of an
@@ -472,7 +491,9 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
 
     A read of a slot whose vector is None raises NeedChoice. When
     ``uses`` is a dict, every use is logged with its provenance: clients
-    and roles are tagged here, fixed addresses when they are generated.
+    and roles are tagged here, fixed addresses when they are generated; and
+    the indices of the roles and data the run reads or writes are added to
+    ``touched``, a pair of sets.
     """
     roles, data, writes = list(control.roles), list(control.data), {}
     try:
@@ -480,7 +501,9 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
             code = cb.functions[0, action.tx](roles, data, slot_of, writes, base, limit,
                                               [DEFAULT_FUEL], action.clients, action.args)
         else:
-            roles = [TaggedAddress(v, (("transient", i),)) for i, v in enumerate(roles)]
+            roles = _Touched((TaggedAddress(v, (("transient", i),)) for i, v in enumerate(roles)),
+                             touched[0])
+            data = _Touched(data, touched[1])
             clients = tuple(TaggedAddress(c, (("explicit", i),))
                             for i, c in enumerate(action.clients))
             code = cb.logged[0, action.tx](roles, data, slot_of, writes, base, limit,
@@ -545,13 +568,23 @@ class Leaf(NamedTuple):
 
 def explore(bundle: ContractBundle, control: ControlState, ids: tuple[int, ...],
             domains, action: Action, domain: DataDomain,
-            log_uses: bool = False) -> list[Leaf]:
+            log_uses: bool = False, touched=None) -> list[Leaf]:
     """All execution paths of ``action`` when each user slot's map vector
     ranges over ``domains[slot]``, a sequence of tuples in ascending order.
-    Deterministic order: depth-first, forked values in the given order."""
+    Deterministic order: depth-first, forked values in the given order.
+
+    With ``log_uses``, each leaf's ``uses`` is logged, and ``touched``, when
+    given as a pair of sets, receives the role and data indices that any run
+    read or wrote, a run stopped by a fork included. The leaves are then a
+    function of ``ctor_done`` and those fields' values: a control that agrees
+    with ``control`` on them gives the same leaves, apart from the fields
+    of ``control_after`` that no run touched, which are its own.
+    """
     cb = _compiled(bundle)
     slot_of = _slot_of(ids)
     guard_uses = {} if log_uses else None
+    if log_uses and touched is None:
+        touched = (set(), set())
     settled = _settle(cb, control, slot_of, action, guard_uses)
     if settled is not None:
         return [Leaf({}, settled, control if settled == "revert" else None, {},
@@ -563,7 +596,7 @@ def explore(bundle: ContractBundle, control: ControlState, ids: tuple[int, ...],
             a: set(origins) for a, origins in guard_uses.items()}
         try:
             outcome, post, writes = _run_transaction(cb, control, slot_of, base,
-                                                     action, domain.limit, uses)
+                                                     action, domain.limit, uses, touched)
         except NeedChoice as nc:
             # One copy serves every value of nc.slot: a run only reads its
             # base, and a deeper fork copies it again.

@@ -126,6 +126,42 @@ def test_semantic_pt_matches_naive(auction_plain):
         assert fast == slow, act
 
 
+def _explore_calls(monkeypatch) -> list:
+    """The control of every ``explore`` call ``semantic_pt`` makes."""
+    calls, explore = [], msolv.ptg.explore
+
+    def counting_explore(bundle, control, *args, **kwargs):
+        calls.append(control)
+        return explore(bundle, control, *args, **kwargs)
+
+    monkeypatch.setattr(msolv.ptg, "explore", counting_explore)
+    return calls
+
+
+def test_semantic_pt_explores_guard_settled_action_once_per_ctor_done(auction, monkeypatch):
+    # The zero account is turned away before the body runs, so no run reads
+    # a field: of the 512 controls, one per ctor_done is explored.
+    calls = _explore_calls(monkeypatch)
+    semantic_pt(auction, 4, Action("stop", (0,), ()), D2)
+    assert [c.ctor_done for c in calls] == [0, 1]
+
+
+def test_semantic_pt_explores_each_touched_projection_once(auction, monkeypatch):
+    calls = _explore_calls(monkeypatch)
+    semantic_pt(auction, 4, Action("bid", (3,), (1,)), D2)
+    assert len(calls) == 26
+
+
+def test_semantic_pt_matches_naive_with_a_write_only_field():
+    # x is written on one path and read by none, and the two paths compare
+    # their post controls on it.
+    bundle = msolv.load("contract P { mapping(address => uint) m; uint x; "
+                        "constructor() public {} "
+                        "function f() public { if (m[msg.sender] == 1) { x = 0; } } }")
+    for act in enumerate_actions(bundle, range(3), D1):
+        assert semantic_pt(bundle, 3, act, D1) == semantic_pt_naive(bundle, 3, act, D1), act
+
+
 def test_semantic_pt_budget(auction):
     with pytest.raises(BudgetExceeded):
         semantic_pt(auction, 4, Action("bid", (3,), (1,)), D2, budget=10)

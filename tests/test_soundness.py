@@ -153,3 +153,34 @@ def test_engine_admits_values_wider_than_the_domain():
     spec = parse_spec("(invariant (else (<= (map 0 0) 3)))"
                       "(property (k 1) (xi (<= (map 0 0) 3)))", bundle.layout)
     _assert_engine_matches_reference(bundle, spec.invariant, spec.properties[0], D1)
+
+
+def _check(source: str, spec_src: str, **kwargs) -> dict:
+    bundle = msolv.load(source)
+    ptg = build_ptg(taint_summary(bundle))
+    return check_spec(bundle, ptg, parse_spec(spec_src, bundle.layout), D1, **kwargs)
+
+
+def test_engine_rejects_values_wider_than_the_domain():
+    # The rejecting twin of the test above: the literal 3 breaks the
+    # invariant, so the gate must fail even though 3 lies outside the
+    # one-bit domain the allowed sets enumerate.
+    verdicts = _check("contract W { mapping(address => uint) m; constructor() public {} "
+                      "function f() public { m[msg.sender] = 3; } }",
+                      "(invariant (else (< (map 0 m) 2)))(property (k 1) (xi true))")
+    assert {k: v.result for k, v in verdicts.items()} == {"compositionality": "cex_invariant"}
+
+
+def test_interference_successor_survives_a_rejected_vector():
+    # After f, the sender's vector (1, 0) is admitted and (1, 1) is not. The
+    # rejected one freezes a class, yet the admitted one must still give an
+    # interference successor, from which g sets late and breaks the property.
+    verdicts = _check("contract C { mapping(address => uint) a; mapping(address => uint) b; "
+                      "bool done; bool late; constructor() public {} "
+                      "function f() public { a[msg.sender] = 1; done = true; } "
+                      "function g() public { require(done); late = true; } }",
+                      "(invariant (else (or (= (map 0 a) 0) (= (map 0 b) 0))))"
+                      "(property (k 1) (xi (= (data late) 0)))", assume_invariant=True)
+    (v,) = verdicts.values()
+    assert v.result == "cex_property"
+    assert [a.tx for a in v.trace.actions] == ["constructor", "f", "g"]
