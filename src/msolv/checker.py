@@ -170,12 +170,12 @@ class _LocalEngine:
     # -- expansion ---------------------------------------------------------
 
     def _successors(self, key: tuple):
-        """Every successor of one class, in a fixed order, as
-        ``(kind, action_index, leaf, succ_key, bad_values)``. Kind "bottom"
-        has no successor class; "theta" is a frozen class, with the first
-        vector the invariant rejects in each slot that has one; "succ" is an
-        interference class. One leaf can give a "theta" and then a "succ".
-        Makes one ``explore`` call per action."""
+        """Every successor of one class but a revert's return to the class
+        itself, in a fixed order, as ``(kind, action_index, leaf, succ_key,
+        bad_values)``. Kind "bottom" has no successor class; "theta" is a
+        frozen class, with the first vector the invariant rejects in each slot
+        that has one; "succ" is an interference class. One leaf can give a
+        "theta" and then a "succ". Makes one ``explore`` call per action."""
         control = key[0]
         domains = self._domains(key)
         # Members of an interference class satisfy the invariant at their own
@@ -191,7 +191,10 @@ class _LocalEngine:
                     continue
                 post_control = leaf.control_after
                 if leaf.outcome == "revert" and pre_ok:
-                    yield "succ", ai, leaf, (post_control, None), None
+                    # From a class of allowed sets this is the class itself,
+                    # already recorded.
+                    if key[1] is not None:
+                        yield "succ", ai, leaf, (post_control, None), None
                     continue
                 writes, assign = leaf.writes, leaf.assignment
                 allowed = self._allowed_at(post_control)[1]

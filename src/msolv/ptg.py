@@ -241,22 +241,33 @@ def _controls(bundle: ContractBundle, n: int, domain: DataDomain):
                 yield ControlState(roles, data, ctor)
 
 
-def _leaf_post_differs(a: Leaf, b: Leaf, slot: int) -> bool:
-    """Whether two execution paths taken from states differing only in user
-    ``slot`` give observably different results per the influence
-    definition: different post controls, or some other user's post state
-    differs for a suitable choice of the map vectors neither path read."""
-    if a.control_after != b.control_after:
-        return True
-    for s in (a.writes.keys() | b.writes.keys()) - {slot}:
-        wa, wb = a.writes.get(s), b.writes.get(s)
-        base = a.assignment.get(s, b.assignment.get(s))
-        if base is None:
-            if wa != wb:  # some base vector tells the writes apart
-                return True
-        elif apply_writes(base, wa) != apply_writes(base, wb):
-            return True
-    return False
+def _attribute_leaves(pt: SemanticPT, leaves: list[Leaf], ids: tuple[int, ...]) -> None:
+    """Add the participants one control's paths show to ``pt``."""
+    for leaf in leaves:
+        # influenced-by: a persistent write some base vector can observe
+        for slot, cells in leaf.writes.items():
+            base = leaf.assignment.get(slot)
+            if base is None or apply_writes(base, cells) != base:
+                pt.attribute(ids[slot], leaf.uses.get(ids[slot], ()))
+        # influence via readdressing: any use of the old address faults
+        if leaf.outcome != "bottom":
+            for a, origins in leaf.uses.items():
+                if a in ids:
+                    pt.attribute(a, origins)
+    # influence via map variants: two paths part at a slot both read, so a
+    # pair stands for two states differing in one user only when their reads
+    # differ in that slot alone (a slot one path never read stands for every
+    # value of it). Only a pair with one faulting path adds anything: two
+    # faults never differ, and the readdressing rule has already attributed
+    # every use of two paths that do not fault.
+    bottoms = [leaf for leaf in leaves if leaf.outcome == "bottom"]
+    ends = [leaf for leaf in leaves if leaf.outcome != "bottom"]
+    for x, y in itertools.product(bottoms, ends):
+        ax, ay = x.assignment, y.assignment
+        differ = [s for s in ax.keys() & ay.keys() if ax[s] != ay[s]]
+        if len(differ) == 1:
+            a = ids[differ[0]]
+            pt.attribute(a, x.uses.get(a, set()) | y.uses.get(a, set()))
 
 
 def semantic_pt(bundle: ContractBundle, n: int, action: Action,
@@ -271,62 +282,52 @@ def semantic_pt(bundle: ContractBundle, n: int, action: Action,
     address; a user readdressed away faults the run at the first use of its
     old address, which the interpreter's use log pinpoints exactly.
 
-    A control is explored only when no control explored before agrees with
-    it on ``ctor_done`` and on the role and data fields that the earlier
-    one's runs touched. Such a control runs the same paths, and its leaves
-    differ only in untouched fields of ``control_after``, the same in every
-    leaf, so it attributes nothing new. ``budget`` caps the paths explored.
+    The controls are covered by a decision tree over the control flattened
+    as ``(ctor_done, *roles, *data)``. A node fixes some positions, and its
+    representative sets every other position to its first value. The
+    representative is explored unless a control explored before agrees with
+    it on ``ctor_done`` and the role and data fields that the earlier one's
+    runs read: such a control runs the same paths and attributes nothing
+    new, since no rule reads ``control_after``. Every control of the node
+    that agrees with the representative on the fields its runs read is
+    covered by it; every other one lies under exactly one child, the one for
+    the first such field it differs on. ``budget`` caps the paths explored.
     """
     ids = tuple(range(n))
     vectors = tuple(itertools.product(domain.values(), repeat=bundle.n_maps))
     domains = {slot: vectors for slot in range(n)}
     pt = SemanticPT(set(), set(), set(), set())
     work = 0
-    id_set = set(ids)
-    # Controls as flat tuples (ctor_done, *roles, *data). For each set of
-    # positions that an explored control's runs touched: its getter, and the
-    # values there of every control explored with that set.
+    n_roles = bundle.n_roles
+    # The values of each flat position, the representative's value first.
+    values = ((0, 1), *[tuple(range(n))] * n_roles,
+              *[tuple(domain.values())] * bundle.n_data)
+    # For each set of positions that an explored control's runs read: its
+    # getter, and the values there of every control explored with that set.
     explored: dict[tuple, tuple] = {}
-    for control in _controls(bundle, n, domain):
-        flat = (control.ctor_done, *control.roles, *control.data)
-        if any(get(flat) in seen for get, seen in explored.values()):
-            continue
-        touched = (set(), set())
-        leaves = explore(bundle, control, ids, domains, action, domain,
-                         log_uses=True, touched=touched)
-        fields = (0, *sorted(1 + i for i in touched[0]),
-                  *sorted(1 + bundle.n_roles + i for i in touched[1]))
-        get, seen = explored.setdefault(fields, (operator.itemgetter(*fields), set()))
-        seen.add(get(flat))
-        work += len(leaves)
-        if work > budget:
-            raise BudgetExceeded(f"semantic_pt budget of {budget} paths exceeded")
-        for leaf in leaves:
-            # influenced-by: a persistent write some base vector can observe
-            for slot, cells in leaf.writes.items():
-                base = leaf.assignment.get(slot)
-                if base is None or apply_writes(base, cells) != base:
-                    pt.attribute(ids[slot], leaf.uses.get(ids[slot], ()))
-            # influence via readdressing: any use of the old address faults
-            if leaf.outcome != "bottom":
-                for a, origins in leaf.uses.items():
-                    if a in id_set:
-                        pt.attribute(a, origins)
-        # influence via map variants: two paths part at a slot both read, so
-        # a pair stands for two states differing in one user only when their
-        # reads differ in that slot alone (a slot one path never read stands
-        # for every value of it)
-        influential: set[int] = set()
-        for x, y in itertools.combinations(leaves, 2):
-            ax, ay = x.assignment, y.assignment
-            differ = [s for s in ax.keys() & ay.keys() if ax[s] != ay[s]]
-            if len(differ) != 1 or differ[0] in influential:
-                continue
-            slot = differ[0]
-            if _leaf_post_differs(x, y, slot):
-                influential.add(slot)
-                pt.attribute(ids[slot], x.uses.get(ids[slot], set())
-                             | y.uses.get(ids[slot], set()))
+    nodes = [{}]  # each node as the positions it fixes, with their values
+    while nodes:
+        fixed = nodes.pop()
+        flat = tuple(fixed.get(p, vals[0]) for p, vals in enumerate(values))
+        fields = next((f for f, (get, seen) in explored.items() if get(flat) in seen), None)
+        if fields is None:
+            touched = (set(), set())
+            control = ControlState(flat[1:1 + n_roles], flat[1 + n_roles:], flat[0])
+            leaves = explore(bundle, control, ids, domains, action, domain,
+                             log_uses=True, touched=touched)
+            fields = (0, *sorted(1 + i for i in touched[0]),
+                      *sorted(1 + n_roles + i for i in touched[1]))
+            get, seen = explored.setdefault(fields, (operator.itemgetter(*fields), set()))
+            seen.add(get(flat))
+            work += len(leaves)
+            if work > budget:
+                raise BudgetExceeded(f"semantic_pt budget of {budget} paths exceeded")
+            _attribute_leaves(pt, leaves, ids)
+        prefix = dict(fixed)
+        for p in fields:
+            if p not in fixed:
+                nodes.extend({**prefix, p: u} for u in values[p][1:])
+                prefix[p] = flat[p]
     return pt
 
 

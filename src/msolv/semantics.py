@@ -175,7 +175,7 @@ class TaggedAddress(int):
 
 class _Touched(list):
     """A run's roles or data in the logging mode, noting in ``seen`` the
-    index of every read and every write."""
+    index of every read."""
 
     __slots__ = ("seen",)
 
@@ -186,10 +186,6 @@ class _Touched(list):
     def __getitem__(self, i):
         self.seen.add(i)
         return list.__getitem__(self, i)
-
-    def __setitem__(self, i, v):
-        self.seen.add(i)
-        list.__setitem__(self, i, v)
 
 
 def apply_writes(vec: tuple[int, ...], cells: dict[int, int] | None) -> tuple[int, ...]:
@@ -492,7 +488,7 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
     A read of a slot whose vector is None raises NeedChoice. When
     ``uses`` is a dict, every use is logged with its provenance: clients
     and roles are tagged here, fixed addresses when they are generated; and
-    the indices of the roles and data the run reads or writes are added to
+    the indices of the roles and data the run reads are added to
     ``touched``, a pair of sets.
     """
     roles, data, writes = list(control.roles), list(control.data), {}
@@ -575,10 +571,10 @@ def explore(bundle: ContractBundle, control: ControlState, ids: tuple[int, ...],
 
     With ``log_uses``, each leaf's ``uses`` is logged, and ``touched``, when
     given as a pair of sets, receives the role and data indices that any run
-    read or wrote, a run stopped by a fork included. The leaves are then a
-    function of ``ctor_done`` and those fields' values: a control that agrees
-    with ``control`` on them gives the same leaves, apart from the fields
-    of ``control_after`` that no run touched, which are its own.
+    read, a run stopped by a fork included. The leaves are then a function of
+    ``ctor_done`` and those fields' values: a control that agrees with
+    ``control`` on them gives the same leaves, apart from ``control_after``,
+    where a field the path did not write keeps each control's own value.
     """
     cb = _compiled(bundle)
     slot_of = _slot_of(ids)

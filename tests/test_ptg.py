@@ -162,6 +162,31 @@ def test_semantic_pt_matches_naive_with_a_write_only_field():
         assert semantic_pt(bundle, 3, act, D1) == semantic_pt_naive(bundle, 3, act, D1), act
 
 
+def test_semantic_pt_matches_naive_where_only_a_fault_reads_a_role():
+    # Only the faulting path compares the sender with r, so the role's
+    # participation shows only in a pair of paths that part at m and of
+    # which exactly one faults.
+    bundle = msolv.load("contract Q { address r; mapping(address => uint) m; "
+                        "constructor(address a) public { r = a; } "
+                        "function f() public { if (m[msg.sender] == 1) "
+                        "{ assert(msg.sender != r); } } }")
+    for act in enumerate_actions(bundle, range(3), D1):
+        assert semantic_pt(bundle, 3, act, D1) == semantic_pt_naive(bundle, 3, act, D1), act
+
+
+def test_semantic_pt_matches_naive_where_runs_read_different_fields():
+    # The path taken on a decides which of r, b and m a run reads, so the
+    # decision tree splits different controls on different fields.
+    bundle = msolv.load("contract V { address r; uint a; uint b; "
+                        "mapping(address => uint) m; "
+                        "constructor(address o) public { r = o; } "
+                        "function f() public { if (a == 0) { require(msg.sender != r); "
+                        "m[msg.sender] = b; } if (a != 0) { b = 1; } } "
+                        "function g(uint v) public { a = v; } }")
+    for act in enumerate_actions(bundle, range(3), D1):
+        assert semantic_pt(bundle, 3, act, D1) == semantic_pt_naive(bundle, 3, act, D1), act
+
+
 def test_semantic_pt_budget(auction):
     with pytest.raises(BudgetExceeded):
         semantic_pt(auction, 4, Action("bid", (3,), (1,)), D2, budget=10)
