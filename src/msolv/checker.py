@@ -134,8 +134,6 @@ class _LocalEngine:
         self._allowed: dict[ControlState, tuple] = {}
         self.transitions = 0
         self.started, self.deadline = _clock(budget_secs)
-        self.init = None
-        self._init_bad_slot = None
         self.parents: dict[tuple, tuple | None] = {}
 
     # -- class plumbing --------------------------------------------------
@@ -156,9 +154,6 @@ class _LocalEngine:
         control, domains = key
         return self._allowed_at(control)[0] if domains is None else domains
 
-    def _is_frozen(self, key: tuple) -> bool:
-        return key[1] is not None and key != self.init
-
     def _admits(self, control: ControlState, slot: int, vec: tuple) -> bool:
         """The invariant on one user's vector. The allowed sets hold every
         admitted in-domain vector, so only a literal wider than the domain,
@@ -169,33 +164,46 @@ class _LocalEngine:
 
     # -- expansion ---------------------------------------------------------
 
-    def _successors(self, key: tuple):
-        """Every successor of one class but a revert's return to the class
-        itself, in a fixed order, as ``(kind, action_index, leaf, succ_key,
-        bad_values)``. Kind "bottom" has no successor class; "theta" is a
-        frozen class, with the first vector the invariant rejects in each slot
-        that has one; "succ" is an interference class. One leaf can give a
-        "theta" and then a "succ". Makes one ``explore`` call per action."""
+    def _record(self, phi: GuardedProperty | None, link: tuple | None, key: tuple,
+                frontier: list | None) -> tuple | None:
+        """Record a class the first time ``link`` reaches it and queue it on
+        ``frontier``, which is None for a frozen class: frozen classes are
+        reachable, so the property must hold on them, but they are never
+        expanded. Returns the property's violation there as ``_cex``
+        arguments, or None."""
+        if key in self.parents:
+            return None
+        self.parents[key] = link
+        if frontier is not None:
+            frontier.append(key)
+        w = None if phi is None else self._phi_witness(phi, key)
+        return None if w is None else ("cex_property", link, key, *w)
+
+    def _expand(self, key: tuple, phi: GuardedProperty | None,
+                frontier: list) -> tuple | None:
+        """Record every successor of one class, in a fixed order, and return
+        its first violation as ``_cex`` arguments, or None. A post-state
+        outside the invariant gives a frozen class, or a violation under the
+        compositionality rule, with the first vector the invariant rejects
+        in each slot that has one; unless every vector of some slot is
+        rejected it also gives an interference class. Makes one ``explore``
+        call per action."""
         control = key[0]
         domains = self._domains(key)
-        # Members of an interference class satisfy the invariant at their own
-        # control by construction; only the concrete initial class can break
-        # that, in which case reverted transitions must freeze too.
-        pre_ok = key != self.init or self._init_bad_slot is None
+        first = None
         for ai, action in enumerate(self.actions):
             leaves = explore(self.bundle, control, self.ids, domains, action, self.domain)
             self.transitions += len(leaves)
             for leaf in leaves:
+                if leaf.outcome == "revert" and key[1] is None:
+                    # A class of allowed sets is its own revert successor,
+                    # already recorded; the explicit initial class takes the scan.
+                    continue
+                link = (key, ai, leaf)
                 if leaf.outcome == "bottom":
-                    yield "bottom", ai, leaf, None, None
+                    first = first or ("cex_property", link, None, {}, "error state reachable")
                     continue
                 post_control = leaf.control_after
-                if leaf.outcome == "revert" and pre_ok:
-                    # From a class of allowed sets this is the class itself,
-                    # already recorded.
-                    if key[1] is not None:
-                        yield "succ", ai, leaf, (post_control, None), None
-                    continue
                 writes, assign = leaf.writes, leaf.assignment
                 allowed = self._allowed_at(post_control)[1]
                 post_domains = []
@@ -216,10 +224,16 @@ class _LocalEngine:
                     if rejected:
                         bad[slot] = rejected[0]
                     all_ok = all_ok and len(rejected) < len(post)
+                # Every successor is recorded before the violations combine.
                 if bad:
-                    yield "theta", ai, leaf, (post_control, tuple(post_domains)), bad
+                    frozen = (post_control, tuple(post_domains))
+                    vio = (self._record(phi, link, frozen, None) if phi is not None
+                           else ("cex_invariant", link, frozen, bad, "invariant not preserved"))
+                    first = first or vio
                 if all_ok:
-                    yield "succ", ai, leaf, (post_control, None), None
+                    vio = self._record(phi, link, (post_control, None), frontier)
+                    first = first or vio
+        return first
 
     # -- property evaluation over a class ---------------------------------
 
@@ -254,54 +268,28 @@ class _LocalEngine:
     def _search(self, phi: GuardedProperty | None) -> Verdict:
         self.actions = list(within(self.deadline, enumerate_actions(
             self.bundle, self.ids, self.domain)))
-        zeros = (0,) * self.bundle.n_maps
-        control = ControlState((0,) * self.bundle.n_roles, (0,) * self.bundle.n_data, 0)
-        vectors, allowed = self._allowed_at(control)
-        init_domains = tuple((zeros,) for _ in self.ids)
-        init = self.init = (control, None if init_domains == vectors else init_domains)
-        self.parents[init] = None
+        s0 = init_state(self.bundle, self.ids)
+        vectors, allowed = self._allowed_at(s0.control)
+        init_domains = tuple((u.map_vals,) for u in s0.users)
+        init = (s0.control, None if init_domains == vectors else init_domains)
+        frontier: list[tuple] = []
+        first = self._record(phi, None, init, frontier)
         # The first user the initial state puts outside the invariant, if any.
-        bad = self._init_bad_slot = next(
-            (s for s, ok in enumerate(allowed) if zeros not in ok), None)
+        bad = next((u.id for u, ok in zip(s0.users, allowed) if u.map_vals not in ok), None)
         if phi is None and bad is not None:
-            return self._cex("cex_invariant", None, init, {},
-                             f"initial state violates the invariant for user {self.ids[bad]}")
-        w = None if phi is None else self._phi_witness(phi, init)
-        if w is not None:
-            return self._cex("cex_property", None, init, *w)
-
-        frontier = [init]
-        while frontier:
-            first = None  # the level's first violation, as _cex arguments
+            first = ("cex_invariant", None, init, {},
+                     f"initial state violates the invariant for user {bad}")
+        while frontier and not first:
             next_frontier: list[tuple] = []
             for key in within(self.deadline, frontier):
                 if len(self.parents) > self.budget_states:
                     raise BudgetExceeded("state budget exceeded")
-                for kind, ai, leaf, succ, bad in self._successors(key):
-                    link = (key, ai, leaf)
-                    if kind == "bottom":
-                        vio = ("cex_property", link, None, {}, "error state reachable")
-                    elif kind == "theta" and phi is None:
-                        vio = ("cex_invariant", link, succ, bad, "invariant not preserved")
-                    elif succ in self.parents:
-                        continue
-                    else:
-                        # Frozen classes are reachable, so the property must
-                        # hold on them, but they are never expanded.
-                        self.parents[succ] = link
-                        if kind == "succ":
-                            next_frontier.append(succ)
-                        w = None if phi is None else self._phi_witness(phi, succ)
-                        if w is None:
-                            continue
-                        vio = ("cex_property", link, succ, *w)
-                    first = first or vio
-            if first:
-                return self._cex(*first)
+                vio = self._expand(key, phi, next_frontier)
+                first = first or vio
             frontier = next_frontier
-
-        invariant = tuple(sorted(
-            {k[0] for k in self.parents if not self._is_frozen(k)}))
+        if first:
+            return self._cex(*first)
+        invariant = tuple(sorted({k[0] for k in self.parents if k[1] is None} | {s0.control}))
         return Verdict("safe", self._stats(), invariant=invariant)
 
     def _stats(self) -> Stats:
@@ -327,7 +315,7 @@ class _LocalEngine:
         for t, (pre_key, _, leaf) in enumerate(chain):
             # A frozen class is the raw post-state, so only the link into it
             # must hit the final vectors exactly.
-            into_frozen = t == len(chain) - 1 and key is not None and self._is_frozen(key)
+            into_frozen = t == len(chain) - 1 and key is not None and key[1] is not None
             pre = self._pre_values(pre_key, leaf, final if into_frozen else None)
             states.append(BundleState(pre_key[0], tuple(map(UserRecord, self.ids, pre))))
         if key is None:
