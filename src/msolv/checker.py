@@ -385,7 +385,10 @@ def check_spec(bundle: ContractBundle, ptg: PtGraph, spec: SpecFile, domain: Dat
     """The gated check ``msolv check`` runs: the compositionality rule on the
     spec's invariant, keyed "compositionality", then, if it holds, the
     safety rule for each property, keyed by its name. ``assume_invariant``
-    skips the gate, so a Safe then certifies the local bundle only."""
+    skips the gate, so a Safe then certifies the local bundle only; with no
+    property either, nothing is checked, which is an InputError."""
+    if assume_invariant and not spec.properties:
+        raise InputError("nothing to check: no property, and the invariant is assumed")
     budgets = {"budget_states": budget_states, "budget_secs": budget_secs}
     results: dict[str, Verdict] = {}
     if not assume_invariant:

@@ -254,6 +254,8 @@ def _cmd_oracle(args) -> int:
     if args.users < 2:
         raise TooFewUsers("oracle needs at least 2 users")
     spec = _load_spec(args.spec, bundle.layout)
+    if not spec.properties:
+        raise InputError("the spec has no property for the oracle to check")
     results = {prop.name: global_oracle(bundle, args.users, prop, domain,
                                         budget_states=args.budget_states,
                                         budget_secs=args.budget_secs)

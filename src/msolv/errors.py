@@ -14,17 +14,13 @@ class MsolvError(Exception):
 
 
 class MicroSolSyntaxError(MsolvError):
-    """Raised by the lexer/parser on malformed source.
+    """Raised by the lexer/parser on malformed source, at ``line:col``; the
+    message names what would have been accepted there."""
 
-    Carries the position and the set of token kinds that would have been
-    accepted, so callers can render a precise diagnostic.
-    """
-
-    def __init__(self, message: str, line: int, col: int, expected: frozenset[str] = frozenset()):
+    def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
-        self.expected = expected
 
 
 class ValidationError(MsolvError):

@@ -32,8 +32,7 @@ class _Parser:
             return self.advance()
         shown = t.text if t.kind != "eof" else "end of input"
         raise MicroSolSyntaxError(
-            f"expected {' or '.join(sorted(kinds))}, found {shown!r}",
-            t.line, t.col, expected=frozenset(kinds))
+            f"expected {' or '.join(sorted(kinds))}, found {shown!r}", t.line, t.col)
 
     def pos(self) -> A.Pos:
         t = self.peek()
@@ -163,7 +162,7 @@ class _Parser:
             return A.ExprStmt(expr, pos=pos)
         t = self.peek()
         raise MicroSolSyntaxError(
-            "expected '=' or a call statement", t.line, t.col, expected=frozenset(["="]))
+            "expected '=' or a call statement", t.line, t.col)
 
     def parse_call_args(self) -> tuple[A.Expr, ...]:
         self.expect("(")
@@ -253,9 +252,7 @@ class _Parser:
             self.expect(")")
             return e
         raise MicroSolSyntaxError(
-            f"expected an expression, found {t.text or 'end of input'!r}",
-            t.line, t.col,
-            expected=frozenset(["int", "ident", "this", "msg", "address", "(", "!"]))
+            f"expected an expression, found {t.text or 'end of input'!r}", t.line, t.col)
 
 
 def parse(source: str) -> A.SourceUnit:

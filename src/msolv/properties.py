@@ -243,7 +243,6 @@ def trivial_invariant() -> SplitInvariant:
 class SpecFile(Record):
     properties: tuple[GuardedProperty, ...]
     invariant: SplitInvariant
-    has_invariant: bool
 
     @property
     def warnings(self) -> list[str]:
@@ -274,8 +273,7 @@ def parse_spec(text: str, layout: VariableLayout | None = None) -> SpecFile:
             invariant = _parse_invariant(form, layout)
         else:
             raise SpecSyntaxError(f"unknown top-level form {_quote(form[0])}")
-    return SpecFile(tuple(props), invariant or trivial_invariant(),
-                    invariant is not None)
+    return SpecFile(tuple(props), invariant or trivial_invariant())
 
 
 def _parse_property(form: list, layout: VariableLayout | None, name: str) -> GuardedProperty:

@@ -314,7 +314,7 @@ def semantic_pt(bundle: ContractBundle, n: int, action: Action,
             touched = (set(), set())
             control = ControlState(flat[1:1 + n_roles], flat[1 + n_roles:], flat[0])
             leaves = explore(bundle, control, ids, domains, action, domain,
-                             log_uses=True, touched=touched)
+                             touched=touched)
             fields = (0, *sorted(1 + i for i in touched[0]),
                       *sorted(1 + n_roles + i for i in touched[1]))
             get, seen = explored.setdefault(fields, (operator.itemgetter(*fields), set()))
@@ -349,7 +349,7 @@ def semantic_pt_naive(bundle: ContractBundle, n: int, action: Action,
     def uses_of(state: BundleState) -> dict[int, set]:
         (leaf,) = explore(bundle, state.control, tuple(u.id for u in state.users),
                           [(u.map_vals,) for u in state.users], action, domain,
-                          log_uses=True)
+                          touched=(set(), set()))
         return leaf.uses
 
     for control in _controls(bundle, n, domain):

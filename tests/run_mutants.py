@@ -3,8 +3,11 @@
 Each mutant in ``tests/data/mutants.json`` replaces one text in one source
 file. For each, this copies the repository's ``src``, ``tests``,
 ``perfbench`` and ``pyproject.toml`` to a temporary directory, applies the
-mutant there, runs the suite and prints the tests that fail. A mutant that
-no test catches is reported as surviving, and the exit status is then 1.
+mutant there, runs the suite and prints how many tests fail in each test
+file. A mutant that no test catches is reported as surviving, and the exit
+status is then 1. One caught only by a single test, or only by the golden
+output of ``tests/test_verdicts.py``, is flagged "pinned only": one pinned
+case stands between it and a pass.
 The checkout itself is never changed. A full suite run takes about 30 s per
 mutant.
 
@@ -20,11 +23,13 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = ROOT / "tests" / "data" / "mutants.json"
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+GOLDEN = "tests/test_verdicts.py"
 
 
 def _copy_tree(dest: Path) -> None:
@@ -78,10 +83,13 @@ def main(argv: list[str]) -> int:
         if argv and mutant["name"] not in argv:
             continue
         failed = failing_tests(mutant)
-        print(f"{mutant['name']} ({mutant['what']}): "
-              + (f"caught by {len(failed)}" if failed else "SURVIVES"), flush=True)
-        for test in failed:
-            print(f"    {test}", flush=True)
+        by_file = Counter(test.split("::", 1)[0] for test in failed)
+        score = f"caught by {len(failed)}" if failed else "SURVIVES"
+        if failed and (len(failed) == 1 or set(by_file) == {GOLDEN}):
+            score += ", pinned only"
+        print(f"{mutant['name']} ({mutant['what']}): {score}", flush=True)
+        for path, count in sorted(by_file.items()):
+            print(f"    {path}: {count}", flush=True)
         survived = survived or not failed
     return 1 if survived else 0
 

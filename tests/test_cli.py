@@ -93,6 +93,16 @@ def test_check_bad_spec_exit_one(capsys):
     assert payload["compositionality"]["trace"]
 
 
+@pytest.mark.parametrize("argv", [("check", "--width", "1", "--assume-invariant"),
+                                  ("oracle", "--users", "3", "--width", "1")])
+def test_a_spec_with_no_property_to_check_is_an_input_error(capsys, argv):
+    # bad.spec holds an invariant and no property: with the gate skipped, or
+    # in the oracle, there is nothing to check, which is not a safe verdict.
+    code, out, err = run(capsys, argv[0], AUCTION, BAD, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("msolv: InputError: ") and err.count("\n") == 1
+
+
 def test_check_assume_invariant_flag(capsys):
     p2 = str(DATA / "p2.spec")
     code, out, _ = run(capsys, "check", AUCTION, p2, "--width", "2")

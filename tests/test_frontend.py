@@ -239,7 +239,7 @@ def test_syntax_error_carries_position():
     with pytest.raises(MicroSolSyntaxError) as exc:
         parse("contract C {\n  constructor() public { require(x <= 2); }\n}")
     assert exc.value.line == 2
-    assert exc.value.expected  # expected token set is populated
+    assert str(exc.value) == "2:37: expected an expression, found '='"
 
 
 def test_line_comments_allowed():

@@ -147,7 +147,7 @@ def _agree(bundle, control, ids, vectors, domains, action, domain):
     assert (post is state) == (expected is state)
     for log_uses in (False, True):
         leaves = _outcome(lambda: explore(bundle, control, ids, domains, action, domain,
-                                          log_uses=log_uses))
+                                          touched=(set(), set()) if log_uses else None))
         expected = _outcome(lambda: ref.explore(bundle, control, ids, domains, action,
                                                 domain.limit, log_uses))
         assert leaves == expected

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from msolv.cli import main
 from msolv.errors import SpecBindingError, SpecSyntaxError
 from msolv.properties import (check_universal, eval_guarded, eval_split,
-                              parse_predicate, parse_spec)
+                              parse_predicate, parse_spec, trivial_invariant)
 from msolv.semantics import (BundleState, ControlState, DataDomain,
                              UserRecord)
 
@@ -34,7 +34,6 @@ def test_parse_theta1_structure():
     theta = spec.invariant
     assert [a for a, _ in theta.lits] == [0]
     assert theta.roles == ()
-    assert spec.has_invariant
 
 
 def test_parse_phi1_structure():
@@ -53,7 +52,7 @@ def test_parse_empty_invariant_unconstrained():
 
 def test_missing_invariant_defaults_to_trivial():
     spec = parse_spec(PHI1)
-    assert not spec.has_invariant
+    assert spec.invariant == trivial_invariant()
     assert eval_split(spec.invariant, control(), user(0, 9), D8)
 
 

@@ -131,6 +131,20 @@ def test_profiles_name_the_microsol_function(auction, w8):
     assert "<msolv Auction.bid>" in {file for file, _, _ in pstats.Stats(profile).stats}
 
 
+def test_logging_runs_the_plain_program():
+    # The logging mode binds the plain code to tagged fixed addresses and
+    # guard accounts; it is not a second program.
+    relay = msolv.load(read("relay.msol"))  # it uses address(0)
+    plain, logging = msolv.semantics._compiled(relay)
+    assert plain.functions.keys() == logging.functions.keys()
+    for key, fn in plain.functions.items():
+        assert fn.__code__ is logging.functions[key].__code__, key
+        assert fn.__globals__["k0"].__class__ is int
+        assert logging.functions[key].__globals__["k0"].origins == (("implicit", 0),)
+    assert plain.guards == logging.guards
+    assert [a.origins for a in logging.guards] == [(("implicit", a),) for a in plain.guards]
+
+
 def test_python_keywords_name_microsol_things(w8):
     # No MicroSol name reaches the generated code, so Python's words are free.
     b = msolv.load("contract lambda { uint def; address None; "
@@ -294,7 +308,7 @@ def _first_leaves(src: str, name: str, clients: tuple, log_uses: bool = False):
     b = msolv.load(src)
     d = DataDomain(1)
     return explore(b, ControlState((), (0,), 1), (0, 1, 2, 3, 4), [((0,), (1,))] * 5,
-                   Action(name, clients, ()), d, log_uses=log_uses)
+                   Action(name, clients, ()), d, touched=(set(), set()) if log_uses else None)
 
 
 def test_explore_faults_on_a_used_address_before_forking_on_what_follows():
@@ -454,7 +468,7 @@ def test_implicit_guard_table(auction, w2, ids, sender, ctor_done, name):
     vectors = tuple((v,) for v in w2.values())
     for log_uses in (False, True):
         leaves = explore(auction, control, ids, [vectors] * len(ids), action, w2,
-                         log_uses=log_uses)
+                         touched=(set(), set()) if log_uses else None)
         if settled is None:
             assert leaves and all(leaf.outcome == "ok" and leaf.control_after == body_post
                                   for leaf in leaves)

@@ -184,3 +184,22 @@ def test_interference_successor_survives_a_rejected_vector():
     (v,) = verdicts.values()
     assert v.result == "cex_property"
     assert [a.tx for a in v.trace.actions] == ["constructor", "f", "g"]
+
+
+def test_unread_slots_of_a_trace_take_a_vector_the_invariant_admits():
+    # f writes the sender's slot without reading it, so the trace picks the
+    # vector it holds before f: (a, b) = (0, 1), which f turns into (1, 1).
+    # The first vector of the domain, (0, 0), would become (1, 0), which the
+    # invariant rejects, and the trace would not replay under it.
+    source = ("contract C { mapping(address => uint) a; mapping(address => uint) b; "
+              "bool done; uint stage; constructor() public {} "
+              "function f() public { a[msg.sender] = 1; stage = 1; } "
+              "function g() public { require(stage == 1); done = true; } }")
+    spec_src = ("(invariant (else (=> (= (map 0 a) 1) (= (map 0 b) 1))))"
+                "(property (k 0) (xi (= (data done) 0)))")
+    bundle = msolv.load(source)
+    spec = parse_spec(spec_src, bundle.layout)
+    (v,) = _check(source, spec_src, assume_invariant=True).values()
+    assert v.result == "cex_property"
+    assert [a.tx for a in v.trace.actions] == ["constructor", "f", "g"]
+    assert replay_trace(bundle, v.trace, D1, theta=spec.invariant)
