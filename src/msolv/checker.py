@@ -139,14 +139,21 @@ class _LocalEngine:
     # -- class plumbing --------------------------------------------------
 
     def _allowed_at(self, control: ControlState) -> tuple:
-        """Per-slot allowed vectors at a control, and the same as frozensets."""
+        """Per-slot allowed vectors at a control, and the same as frozensets.
+        They are computed once per binding: every user the same predicates
+        bind shares one tuple and one frozenset."""
         cached = self._allowed.get(control)
         if cached is None:
-            vectors = tuple(
-                allowed_vectors(self.theta, control, uid, self.domain,
-                                self.bundle.n_maps, deadline=self.deadline)
-                for uid in self.ids)
-            cached = (vectors, tuple(frozenset(v) for v in vectors))
+            by_binding: dict[tuple, tuple] = {}
+            pairs = []
+            for uid in self.ids:
+                binding = self.theta.binding(control, uid)
+                if binding not in by_binding:
+                    vectors = allowed_vectors(self.theta, control, uid, self.domain,
+                                              self.bundle.n_maps, deadline=self.deadline)
+                    by_binding[binding] = (vectors, frozenset(vectors))
+                pairs.append(by_binding[binding])
+            cached = (tuple(v for v, _ in pairs), tuple(s for _, s in pairs))
             self._allowed[control] = cached
         return cached
 

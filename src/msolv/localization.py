@@ -92,12 +92,10 @@ def allowed_vectors(theta: SplitInvariant, control: ControlState, user_id: int,
     """All map vectors the invariant admits for this user at this control
     state, in ascending order. There are 2^(width * n_maps) vectors to try,
     so the enumeration raises BudgetExceeded once ``time.monotonic()``
-    passes ``deadline``."""
-    out = []
-    for v in within(deadline, itertools.product(domain.values(), repeat=n_maps)):
-        if eval_split(theta, control, UserRecord(user_id, v), domain):
-            out.append(v)
-    return tuple(out)
+    passes ``deadline``. The user's binding is decided once, not per vector."""
+    preds = theta.binding(control, user_id)
+    return tuple(v for v in within(deadline, itertools.product(domain.values(), repeat=n_maps))
+                 if all(p.evaluate(control, (UserRecord(user_id, v),), domain) for p in preds))
 
 
 def interference_successors(theta: SplitInvariant, state: BundleState,

@@ -235,6 +235,14 @@ class SplitInvariant(Record):
     roles: tuple[tuple[int, ObliviousPredicate], ...]
     else_pred: ObliviousPredicate
 
+    def binding(self, control: ControlState, user_id: int) -> tuple[ObliviousPredicate, ...]:
+        """The predicates a user must satisfy at a control: those of the
+        literal guards on its id, then of the role guards it holds there, or
+        else the else predicate alone. No predicate reads the id itself."""
+        return (tuple(p for a, p in self.lits if a == user_id)
+                + tuple(p for r, p in self.roles if control.roles[r] == user_id)
+                or (self.else_pred,))
+
 
 def trivial_invariant() -> SplitInvariant:
     return SplitInvariant((), (), parse_predicate("true"))
@@ -379,20 +387,6 @@ def check_universal(phi: GuardedProperty, state: BundleState,
 
 def eval_split(theta: SplitInvariant, control: ControlState, user: UserRecord,
                domain: DataDomain) -> bool:
-    """Per-user split invariant: each matching guard's predicate must hold;
-    with no matching guard the else predicate must hold."""
+    """Per-user split invariant: every predicate binding the user holds."""
     users = (user,)
-    guarded = False
-    for a, pred in theta.lits:
-        if user.id == a:
-            guarded = True
-            if not pred.evaluate(control, users, domain):
-                return False
-    for r, pred in theta.roles:
-        if control.roles[r] == user.id:
-            guarded = True
-            if not pred.evaluate(control, users, domain):
-                return False
-    if not guarded:
-        return theta.else_pred.evaluate(control, users, domain)
-    return True
+    return all(p.evaluate(control, users, domain) for p in theta.binding(control, user.id))

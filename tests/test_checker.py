@@ -1,5 +1,7 @@
-from msolv.checker import (check_compositional, check_safety, check_spec,
+import msolv.checker
+from msolv.checker import (_LocalEngine, check_compositional, check_safety, check_spec,
                            global_oracle, replay_trace, verdict_to_json)
+from msolv.localization import rule_neighbourhood
 from msolv.properties import eval_split, parse_spec
 from msolv.semantics import DataDomain, enumerate_actions, init_state, step
 
@@ -192,3 +194,27 @@ def test_safe_invariant_contains_reachable_controls(auction, auction_ptg, auctio
     # The all-zero initial control and some constructed control must appear.
     assert any(c.ctor_done == 0 for c in controls)
     assert any(c.ctor_done == 1 and c.roles == (2,) for c in controls)
+
+
+def test_allowed_sets_are_computed_once_per_binding(auction, auction_ptg, auction_spec,
+                                                    monkeypatch):
+    calls = []
+    real = msolv.checker.allowed_vectors
+
+    def counting_allowed_vectors(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(msolv.checker, "allowed_vectors", counting_allowed_vectors)
+    check_spec(auction, auction_ptg, auction_spec, D2)
+    # Two bindings, the zero account's and the default, at every control:
+    # one call per user would make 649.
+    assert len(calls) == 284
+    theta = auction_spec.invariant
+    _, ids = rule_neighbourhood(auction_ptg, theta)
+    engine = _LocalEngine(auction, theta, ids, D2, 10, 10.0)
+    control = init_state(auction, ids).control
+    vectors, sets = engine._allowed_at(control)
+    a, b = [s for s, uid in enumerate(ids)
+            if theta.binding(control, uid) == (theta.else_pred,)][:2]
+    assert vectors[a] is vectors[b] and sets[a] is sets[b]

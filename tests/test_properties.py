@@ -290,6 +290,21 @@ def test_eval_split_role_guard_dispatch():
     assert eval_split(theta, c, user(3, 0), D8) is False
 
 
+def test_binding_picks_literal_then_role_predicates_else_the_default(relay):
+    theta = parse_spec((DATA / "relay.spec").read_text(), relay.layout).invariant
+    (_, lit0), = theta.lits
+    (_, owner), = theta.roles
+
+    def at(holder):
+        return ControlState((holder,), (), 1)
+
+    assert theta.binding(at(2), 0) == (lit0,)            # the literal-bound user
+    assert theta.binding(at(2), 2) == (owner,)           # the role holder
+    assert theta.binding(at(0), 0) == (lit0, owner)      # both, literal first
+    assert theta.binding(at(2), 3) == (theta.else_pred,)  # unguarded
+    assert len({lit0, owner, theta.else_pred}) == 3
+
+
 def test_split_is_per_user_decomposable():
     theta = parse_spec(THETA1).invariant
     rng = random.Random(11)

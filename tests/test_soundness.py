@@ -53,21 +53,51 @@ def test_compositional_counterexamples_replay(auction_plain, inv_src):
         assert replay_trace(auction_plain, v.trace, D1, theta=theta)
 
 
+def _assert_agrees_with_the_oracle(bundle, spec, domain):
+    """The gated verdict on the spec's one property, or None when the gate
+    refuses. Its trace replays, and a Safe is safe in the oracle at 3, 4 and
+    5 users."""
+    theta, phi = spec.invariant, spec.properties[0]
+    v = check_spec(bundle, build_ptg(taint_summary(bundle)), spec, domain).get(phi.name)
+    if v is None:
+        return None  # not an interference invariant; the gate refuses, correctly
+    if v.trace is not None:
+        assert replay_trace(bundle, v.trace, domain, theta=theta)
+    if v.is_safe:
+        for n in (3, 4, 5):
+            oracle = global_oracle(bundle, n, phi, domain)
+            assert oracle.is_safe, (n, oracle.reason)
+    return v
+
+
 @pytest.mark.parametrize("inv_src", INVARIANT_POOL)
 @pytest.mark.parametrize("prop_src", PROPERTY_POOL)
 def test_gated_safe_verdicts_agree_with_the_oracle(auction_plain, inv_src, prop_src):
-    g = build_ptg(taint_summary(auction_plain))
     spec = parse_spec(inv_src + prop_src, auction_plain.layout)
-    theta, phi = spec.invariant, spec.properties[0]
-    v = check_spec(auction_plain, g, spec, D1).get(phi.name)
-    if v is None:
-        return  # not an interference invariant; the gate refuses, correctly
-    if v.trace is not None:
-        assert replay_trace(auction_plain, v.trace, D1, theta=theta)
-    if v.is_safe:
-        for n in (3, 4, 5):
-            oracle = global_oracle(auction_plain, n, phi, D1)
-            assert oracle.is_safe, (inv_src, prop_src, n, oracle.reason)
+    _assert_agrees_with_the_oracle(auction_plain, spec, D1)
+
+
+ONE_WRITE = """contract C {
+    mapping(address => uint) m;
+    constructor() public {}
+    function f() public { m[msg.sender] = 1; }
+}"""
+# Two users other than the guard accounts 0 and 1 can both write 1. The
+# neighbourhood is {0, 1} and one explicit representative, so the safety
+# rule needs k - |exp| = 1 more address to see the second writer.
+TWO_WRITERS = ("(invariant (lit 0 (= (map 0 0) 0)) (lit 1 (= (map 0 0) 0)) (else true))"
+               "(property (k 2) (xi (not (and (= (map 0 0) 1) (= (map 1 0) 1)))))")
+
+
+def test_a_two_user_property_needs_every_safety_representative():
+    bundle = msolv.load(ONE_WRITE)
+    spec = parse_spec(TWO_WRITERS, bundle.layout)
+    v = _assert_agrees_with_the_oracle(bundle, spec, D1)
+    assert v.result == "cex_property"
+    assert [u.id for u in v.trace.states[0].users] == [0, 1, 2, 3]
+    phi = spec.properties[0]
+    assert global_oracle(bundle, 3, phi, D1).is_safe
+    assert global_oracle(bundle, 4, phi, D1).result == "cex_property"
 
 
 # ---------------------------------------------------------------- reference
