@@ -15,9 +15,8 @@ from .properties import (GuardedProperty, ObliviousPredicate, SpecFile,
                          SplitInvariant, check_universal, eval_guarded,
                          eval_split, parse_predicate, parse_spec,
                          trivial_invariant)
-from .ptg import (PtGraph, SemanticPT, TaintSummary, build_ptg,
-                  coverage_violations, semantic_pt, semantic_pt_naive,
-                  taint_summary)
+from .ptg import (PtGraph, SemanticPT, build_ptg, coverage_violations,
+                  semantic_pt, semantic_pt_naive, taint_summary)
 from .semantics import (BOTTOM, Action, BundleState, ControlState, DataDomain,
                         UserRecord, enumerate_actions, init_state, step,
                         swap_addresses)

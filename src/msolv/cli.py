@@ -143,8 +143,8 @@ def _cmd_parse(args) -> int:
         "contracts": [c.name for c in bundle.unit.contracts],
         "layout": {"roles": list(layout.roles), "data": list(layout.data),
                    "maps": list(layout.maps)},
-        "transactions": {name: {"clients": bundle.signature(name).clients,
-                                "args": bundle.signature(name).args}
+        "transactions": {name: {"clients": bundle.signature(name).n_clients,
+                                "args": bundle.signature(name).n_args}
                          for name in bundle.tx_order},
     })
     return EXIT_SAFE
@@ -152,14 +152,14 @@ def _cmd_parse(args) -> int:
 
 def _cmd_ptg(args) -> int:
     bundle = _load_bundle(args.contract)
-    summary = taint_summary(bundle)
-    graph = build_ptg(summary)
+    graph = build_ptg(taint_summary(bundle))
     if args.dot:
         print(graph.to_dot())
         return EXIT_SAFE
     _print_json({
-        "summary": {"args": sorted(summary.args), "roles": sorted(summary.roles),
-                    "lits": sorted(summary.lits)},
+        "summary": {"args": sorted(graph.explicit_indices),
+                    "roles": sorted(graph.transient_indices),
+                    "lits": sorted(graph.implicit_addresses)},
         "graph": graph.to_json(),
     })
     return EXIT_SAFE
@@ -197,15 +197,15 @@ def _load_actions(path: str, bundle, domain: DataDomain) -> list[Action]:
         where = f"{path}: entry {i}"
         if not isinstance(entry, dict) or not isinstance(entry.get("tx"), str):
             raise InputError(f"{where} is not an object with a \"tx\" name")
-        sig = bundle.signature(entry["tx"])
+        fn = bundle.signature(entry["tx"])
         clients, targs = entry.get("clients", []), entry.get("args", [])
         if not (isinstance(clients, list) and isinstance(targs, list)
-                and len(clients) == sig.clients and len(targs) == sig.args
+                and len(clients) == fn.n_clients and len(targs) == fn.n_args
                 and all(type(c) is int for c in clients)
                 and all(type(a) is int and 0 <= a < domain.limit for a in targs)):
             raise InputError(
-                f"{where}: {sig.name} takes {sig.clients} integer client(s) and "
-                f"{sig.args} argument(s) in [0, {domain.limit})")
+                f"{where}: {fn.name} takes {fn.n_clients} integer client(s) and "
+                f"{fn.n_args} argument(s) in [0, {domain.limit})")
         actions.append(Action(entry["tx"], tuple(clients), tuple(targs)))
     return actions
 

@@ -26,15 +26,6 @@ SC = "sc"
 STAR = "*"
 
 
-class TaintSummary(Record):
-    """Which client slots, role indices, and literal addresses can reach a
-    sink (an address comparison or a mapping access key) in any transaction."""
-
-    args: frozenset[int]
-    roles: frozenset[int]
-    lits: frozenset[int]
-
-
 class PtGraph(Record):
     """The participation topology graph, held as its three label classes:
     client slots (explicit), role indices (transient) and literal addresses
@@ -167,11 +158,14 @@ def _walk_stmt(t: _FnTaint, s, taints: dict) -> None:
                         else {(kind, i)})
 
 
-def taint_summary(bundle: ContractBundle) -> TaintSummary:
-    """Flow-insensitive over-approximation of participating address classes.
+def taint_summary(bundle: ContractBundle) -> frozenset[tuple[str, int]]:
+    """Flow-insensitive over-approximation of participating address classes:
+    the origin tags ``("explicit", slot)``, ``("transient", role)`` and
+    ``("implicit", address)`` that can reach a sink (an address comparison or
+    a mapping access key) in any transaction.
 
-    The zero account and every contract account are always included in the
-    literal set, and client slot 0 in the argument set: the transaction
+    ``("implicit", a)`` for the zero account and every contract account, and
+    ``("explicit", 0)`` for the sender, are always included: the transaction
     dispatcher compares each sender against those accounts before any body
     runs, whether or not the source mentions them. This also guarantees the
     derived neighbourhoods always contain a representative able to act.
@@ -189,17 +183,14 @@ def taint_summary(bundle: ContractBundle) -> TaintSummary:
              *(("implicit", a) for a in bundle.contract_accounts)}
     for name in bundle.tx_order:
         sinks |= taints[(0, name)].sinks
-
-    def indices(kind: str) -> frozenset[int]:
-        return frozenset(i for k, i in sinks if k == kind)
-
-    return TaintSummary(indices("explicit"), indices("transient"), indices("implicit"))
+    return frozenset(sinks)
 
 
-def build_ptg(summary: TaintSummary) -> PtGraph:
-    """The graph of a taint summary: its client slots, role indices and
-    literal addresses become the explicit, transient and implicit labels."""
-    return PtGraph(summary.args, summary.roles, summary.lits)
+def build_ptg(summary: frozenset[tuple[str, int]]) -> PtGraph:
+    """The graph of a taint summary: its origin tags sorted by kind into the
+    explicit, transient and implicit labels."""
+    return PtGraph(*(frozenset(i for k, i in summary if k == kind)
+                     for kind in ("explicit", "transient", "implicit")))
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,7 @@ transaction they let through runs its body, in :func:`_run_transaction`.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple
 
 from . import ir
 from .errors import InputError, ResourceExhausted, TooFewUsers, UnknownFunction
@@ -59,21 +59,7 @@ class DataDomain(Record):
         return range(self.limit)
 
 
-class Bottom:
-    """The absorbing error state marker."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "s_bottom"
-
-
-BOTTOM = Bottom()
+BOTTOM = None  # the absorbing error state's control, as in a faulting Leaf
 
 
 class ControlState(NamedTuple):
@@ -88,12 +74,12 @@ class UserRecord(NamedTuple):
 
 
 class BundleState(NamedTuple):
-    control: Union[ControlState, Bottom]
+    control: ControlState | None
     users: tuple[UserRecord, ...]
 
     @property
     def is_bottom(self) -> bool:
-        return isinstance(self.control, Bottom)
+        return self.control is None
 
 
 class Action(NamedTuple):
@@ -122,9 +108,9 @@ def enumerate_actions(bundle: ContractBundle, addresses: Iterable[int],
     arguments lexicographically over the sorted address set."""
     addrs = sorted(addresses)
     for name in bundle.tx_order:
-        sig = bundle.signature(name)
-        for clients in itertools.product(addrs, repeat=sig.clients):
-            for args in itertools.product(domain.values(), repeat=sig.args):
+        fn = bundle.signature(name)
+        for clients in itertools.product(addrs, repeat=fn.n_clients):
+            for args in itertools.product(domain.values(), repeat=fn.n_args):
                 yield Action(name, clients, args)
 
 
@@ -140,7 +126,7 @@ def swap_addresses(obj, x: int, y: int):
 
     if isinstance(obj, BundleState):
         control = obj.control
-        if not isinstance(control, Bottom):
+        if control is not None:
             control = ControlState(tuple(sw(r) for r in control.roles),
                                    control.data, control.ctor_done)
         return BundleState(control,
@@ -549,7 +535,7 @@ class Leaf(NamedTuple):
     ``assignment`` fixes the map vectors of the user slots the execution
     read, ``{slot: vector}``; ``outcome`` is "ok", "revert", or "bottom".
     ``control_after`` is the post control state (the pre control for
-    "revert", None for "bottom") and ``writes`` the user cells an "ok" path
+    "revert", ``BOTTOM`` for "bottom") and ``writes`` the user cells an "ok" path
     overwrote, ``{slot: {cell: value}}``. ``uses`` maps every address value
     whose representation the run required to the provenance of its
     occurrences (logged only when requested, else empty).

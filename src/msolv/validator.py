@@ -28,12 +28,6 @@ class VariableLayout(Record):
     maps: tuple[str, ...]
 
 
-class FunctionSig(Record):
-    name: str
-    clients: int  # msg.sender plus address params
-    args: int     # numeric params
-
-
 class ContractBundle(Record, mutable=True):
     """A validated bundle: AST, layout, lowered functions, account map."""
 
@@ -43,11 +37,11 @@ class ContractBundle(Record, mutable=True):
     contract_accounts: tuple[int, ...]                 # per contract index
     tx_order: tuple[str, ...] = ()
 
-    def signature(self, function: str) -> FunctionSig:
+    def signature(self, function: str) -> ir.IRFunction:
         fn = self.all_functions.get((0, function))  # the root's external surface
         if fn is None:
             raise UnknownFunction(function)
-        return FunctionSig(function, fn.n_clients, fn.n_args)
+        return fn
 
     @property
     def n_roles(self) -> int:

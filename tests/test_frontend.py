@@ -59,8 +59,9 @@ def test_multi_dimensional_mapping_rejected():
 
 def test_layout_counts(auction):
     def counts(name):
-        sig = auction.signature(name)
-        return sig.clients, sig.args
+        fn = auction.signature(name)
+        assert fn is auction.all_functions[0, name]
+        return fn.n_clients, fn.n_args
 
     assert counts("bid") == (1, 1)
     assert counts("stop") == (1, 0)

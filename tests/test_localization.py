@@ -4,7 +4,7 @@ from msolv.localization import (Neighbourhood, extend_neighbourhood,
                                 interference_successors, local_step,
                                 saturating_neighbourhood)
 from msolv.properties import parse_spec
-from msolv.ptg import TaintSummary, build_ptg
+from msolv.ptg import build_ptg
 from msolv.semantics import (Action, BundleState, ControlState, DataDomain,
                              UserRecord, enumerate_actions, init_state, step)
 
@@ -28,7 +28,7 @@ def test_saturating_neighbourhood_auction(auction_ptg):
 
 
 def test_saturating_neighbourhood_degenerate():
-    g = build_ptg(TaintSummary(frozenset(), frozenset(), frozenset()))
+    g = build_ptg(frozenset())
     nb = saturating_neighbourhood(g, set(), set())
     assert nb.addresses == ()
 

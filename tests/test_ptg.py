@@ -2,9 +2,8 @@ import pytest
 
 import msolv
 from msolv.errors import BudgetExceeded
-from msolv.ptg import (SC, STAR, TaintSummary, build_ptg,
-                       coverage_violations, semantic_pt, semantic_pt_naive,
-                       taint_summary)
+from msolv.ptg import (SC, STAR, build_ptg, coverage_violations, semantic_pt,
+                       semantic_pt_naive, taint_summary)
 from msolv.semantics import Action, DataDomain, enumerate_actions
 
 D2 = DataDomain(2)
@@ -14,10 +13,9 @@ D1 = DataDomain(1)
 # ---------------------------------------------------------------- taint
 
 def test_auction_summary(auction):
-    ts = taint_summary(auction)
-    assert ts.args == {0}      # msg.sender
-    assert ts.roles == {0}     # manager
-    assert ts.lits == {0, 1}   # zero account and the contract account
+    # msg.sender, manager, the zero account and the contract account
+    assert taint_summary(auction) == {("explicit", 0), ("transient", 0),
+                                      ("implicit", 0), ("implicit", 1)}
 
 
 def test_no_address_contract_summary():
@@ -28,25 +26,19 @@ def test_no_address_contract_summary():
     # the all-empty reading).
     b = msolv.load("contract C { uint x; constructor() public {} "
                    "function f(uint a) public { x = a; } }")
-    ts = taint_summary(b)
-    assert ts.args == {0}
-    assert ts.roles == frozenset()
-    assert ts.lits == {0, 1}
+    assert taint_summary(b) == {("explicit", 0), ("implicit", 0), ("implicit", 1)}
 
 
 def test_zero_compare_contract_summary():
     b = msolv.load("contract C { uint x; constructor() public {} "
                    "function f() public { require(msg.sender != address(0)); } }")
-    ts = taint_summary(b)
-    assert ts.args == {0}
-    assert ts.roles == frozenset()
-    assert ts.lits == {0, 1}
+    assert taint_summary(b) == {("explicit", 0), ("implicit", 0), ("implicit", 1)}
 
 
 def test_role_assignment_alone_is_not_a_sink(auction):
     # The constructor stores mgr into the role without comparing it, so the
     # mgr client slot must not appear in args (only msg.sender does).
-    assert 1 not in taint_summary(auction).args
+    assert ("explicit", 1) not in taint_summary(auction)
 
 
 def test_taint_monotone_under_added_statements():
@@ -56,9 +48,7 @@ def test_taint_monotone_under_added_statements():
     small = taint_summary(msolv.load(base % "m[msg.sender] = 1;"))
     bigger = taint_summary(msolv.load(
         base % "m[msg.sender] = 1; require(msg.sender != owner); require(owner != address(3));"))
-    assert small.args <= bigger.args
-    assert small.roles <= bigger.roles
-    assert small.lits <= bigger.lits
+    assert small <= bigger
 
 
 # ---------------------------------------------------------------- graph
@@ -77,20 +67,20 @@ def test_build_ptg_matches_auction_figure(auction_ptg):
 
 
 def test_build_ptg_empty_summary():
-    g = build_ptg(TaintSummary(frozenset(), frozenset(), frozenset()))
+    g = build_ptg(frozenset())
     assert g.vertices == {SC, STAR}
     assert g.edges == {(SC, STAR)}
     assert g.labels == frozenset()
 
 
 def test_build_ptg_single_literal():
-    g = build_ptg(TaintSummary(frozenset(), frozenset(), frozenset({5})))
+    g = build_ptg(frozenset({("implicit", 5)}))
     assert 5 in g.vertices
     assert ((SC, 5), ("implicit", 5)) in g.labels
 
 
 def test_build_ptg_pure():
-    ts = TaintSummary(frozenset({0}), frozenset({0}), frozenset({0, 1}))
+    ts = frozenset({("explicit", 0), ("transient", 0), ("implicit", 0), ("implicit", 1)})
     assert build_ptg(ts) == build_ptg(ts)
 
 
@@ -193,7 +183,7 @@ def test_semantic_pt_budget(auction):
 
 
 def test_coverage_violation_reporting():
-    g = build_ptg(TaintSummary(frozenset(), frozenset(), frozenset()))
+    g = build_ptg(frozenset())
     from msolv.ptg import SemanticPT
     pt = SemanticPT(frozenset({(0, 3)}), frozenset({(0, 2)}), frozenset({0}),
                     frozenset({0, 2, 3}))

@@ -52,8 +52,8 @@ def test_enumerate_action_counts(auction, w2):
     # Independent count from the declared signatures: N^clients * |D|^args.
     expected = 0
     for name in auction.tx_order:
-        sig = auction.signature(name)
-        expected += 4 ** sig.clients * 4 ** sig.args
+        fn = auction.signature(name)
+        expected += 4 ** fn.n_clients * 4 ** fn.n_args
     assert expected == 40
     assert len(acts) == expected
     assert len(set(acts)) == expected  # each combination exactly once
@@ -122,6 +122,19 @@ def test_reverting_steps_keep_no_objects_alive(auction, w8):
     gc.collect()
     grown = len(gc.get_objects()) - before
     assert grown < 100, grown
+
+
+def test_a_fault_has_one_control_value_in_step_and_explore(w8):
+    # A failed assert in the body, and a sender that no user holds.
+    faulty = msolv.load("contract R { constructor() public {} "
+                        "function f(uint a) public { assert(a < 2); } }")
+    s = step(faulty, init_state(faulty, range(3)), Action("constructor", (2,), ()), w8)
+    for action in (Action("f", (2,), (5,)), Action("f", (7,), (0,))):
+        post = step(faulty, s, action, w8)
+        [leaf] = explore(faulty, s.control, (0, 1, 2), [((),)] * 3, action, w8)
+        assert leaf.outcome == "bottom"
+        assert post.control is leaf.control_after is BOTTOM is None
+        assert post == BundleState(leaf.control_after, s.users) and post.is_bottom
 
 
 def test_profiles_name_the_microsol_function(auction, w8):
@@ -374,9 +387,9 @@ def _random_state_and_action(bundle, rng, n, width):
                            rng.randrange(2))
     users = tuple(UserRecord(i, (rng.randrange(limit),)) for i in ids)
     name = rng.choice(bundle.tx_order)
-    sig = bundle.signature(name)
-    action = Action(name, tuple(rng.randrange(n) for _ in range(sig.clients)),
-                    tuple(rng.randrange(limit) for _ in range(sig.args)))
+    fn = bundle.signature(name)
+    action = Action(name, tuple(rng.randrange(n) for _ in range(fn.n_clients)),
+                    tuple(rng.randrange(limit) for _ in range(fn.n_args)))
     return BundleState(control, users), action
 
 
