@@ -6,6 +6,8 @@ them; real corpus files carry them.
 
 from __future__ import annotations
 
+import re
+
 from .errors import MicroSolSyntaxError
 from .record import Record
 
@@ -18,7 +20,12 @@ KEYWORDS = {
 # Longest match first for the two-character operators.
 _TWO_CHAR = ("==", "!=", "&&", "||", "=>")
 _ONE_CHAR = "{}()[];,=<>+-*/!."
-_DIGITS = "0123456789"  # ASCII only: str.isdigit also takes "²" and "٣"
+
+# One alternative per token class, tried in order. Numerals are ASCII only
+# (\d also takes "٣"); \w takes what str.isalnum takes, plus "_".
+_PATTERN = re.compile("|".join((
+    r"(?P<newline>\n)", r"[ \t\r]+", r"//[^\n]*", r"(?P<int>[0-9]+)", r"(?P<word>\w+)",
+    "(?P<op>" + "|".join(map(re.escape, (*_TWO_CHAR, *_ONE_CHAR))) + ")")))
 
 
 class Token(Record):
@@ -34,57 +41,25 @@ class Token(Record):
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        two = source[i:i + 2]
-        if two in _TWO_CHAR:
-            toks.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
+    line, line_start, i = 1, 0, 0
+    while i < len(source):
+        m = _PATTERN.match(source, i)
+        col = i - line_start + 1
+        if m is None or m.lastgroup == "word" and not (source[i].isalpha() or source[i] == "_"):
+            raise MicroSolSyntaxError(f"unexpected character {source[i]!r}", line, col)
+        kind, text, i = m.lastgroup, m.group(), m.end()
+        if kind == "newline":
+            line, line_start = line + 1, i
+        elif kind == "int":
             try:
-                int(source[i:j])
+                int(text)
             except ValueError:  # over the interpreter's digit limit
                 raise MicroSolSyntaxError(
-                    f"numeral of {j - i} digits is too long", line, col) from None
-            toks.append(Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = word if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _ONE_CHAR:
-            toks.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise MicroSolSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+                    f"numeral of {len(text)} digits is too long", line, col) from None
+            toks.append(Token("int", text, line, col))
+        elif kind == "word":
+            toks.append(Token(text if text in KEYWORDS else "ident", text, line, col))
+        elif kind == "op":
+            toks.append(Token(text, text, line, col))
+    toks.append(Token("eof", "", line, len(source) - line_start + 1))
     return toks

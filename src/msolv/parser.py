@@ -92,21 +92,15 @@ class _Parser:
         else:
             self.expect("function")
             name = self.expect("ident").text
-        self.expect("(")
-        params: list[A.Param] = []
-        if not self.at(")"):
-            while True:
-                ppos = self.pos()
-                typ = self.parse_type()
-                pname = self.expect("ident").text
-                params.append(A.Param(typ, pname, pos=ppos))
-                if not self.at(","):
-                    break
-                self.advance()
-        self.expect(")")
+        params = self.parse_list(self.parse_param)
         self.expect("public")
         body = self.parse_block()
-        return A.FunctionDecl(name, tuple(params), body, is_constructor=constructor, pos=pos)
+        return A.FunctionDecl(name, params, body, is_constructor=constructor, pos=pos)
+
+    def parse_param(self) -> A.Param:
+        pos = self.pos()
+        typ = self.parse_type()
+        return A.Param(typ, self.expect("ident").text, pos=pos)
 
     # -- statements ----------------------------------------------------
 
@@ -151,7 +145,7 @@ class _Parser:
             if self.at("new"):
                 self.advance()
                 cname = self.expect("ident").text
-                args = self.parse_call_args()
+                args = self.parse_list(self.parse_expr)
                 self.expect(";")
                 return A.NewAssign(expr, cname, args, pos=pos)
             value = self.parse_expr()
@@ -164,17 +158,15 @@ class _Parser:
         raise MicroSolSyntaxError(
             "expected '=' or a call statement", t.line, t.col)
 
-    def parse_call_args(self) -> tuple[A.Expr, ...]:
+    def parse_list(self, item) -> tuple:
+        """``( item, ... )``, possibly empty."""
         self.expect("(")
-        args: list[A.Expr] = []
-        if not self.at(")"):
-            while True:
-                args.append(self.parse_expr())
-                if not self.at(","):
-                    break
-                self.advance()
+        items = [] if self.at(")") else [item()]
+        while self.at(","):
+            self.advance()
+            items.append(item())
         self.expect(")")
-        return tuple(args)
+        return tuple(items)
 
     # -- expressions (precedence climbing) ------------------------------
 
@@ -207,7 +199,7 @@ class _Parser:
             elif self.at(".") and self.peek(1).kind == "ident" and self.peek(2).kind == "(":
                 self.advance()
                 fname = self.expect("ident")
-                args = self.parse_call_args()
+                args = self.parse_list(self.parse_expr)
                 e = A.MemberCall(e, fname.text, args, pos=A.Pos(fname.line, fname.col))
             else:
                 return e
@@ -243,7 +235,7 @@ class _Parser:
         if t.kind == "ident":
             self.advance()
             if self.at("("):
-                args = self.parse_call_args()
+                args = self.parse_list(self.parse_expr)
                 return A.Call(t.text, args, pos=pos)
             return A.Name(t.text, pos=pos)
         if t.kind == "(":

@@ -10,9 +10,9 @@ Spec files are S-expressions::
     (property (k 1) (guard-lit 0 slot 0) (xi (= (map 0 0) 0)))
 
 ``(map S J)`` reads mapping J of the user bound to slot S; ``(data J)``
-reads control datum J. Data/map/role positions accept layout names as well
-as indices when a layout is supplied. Arithmetic wraps modulo the data
-domain; division by zero evaluates to 0.
+reads control datum J. Data/map/role positions take layout names or
+indices, and both are always bound against the contract's layout. Arithmetic
+wraps modulo the data domain; division by zero evaluates to 0.
 """
 
 from __future__ import annotations
@@ -105,21 +105,21 @@ class ObliviousPredicate(Record):
         return self._fn(control.data, maps, domain.limit)
 
 
+def _bind(names: tuple[str, ...], token, what: str) -> int:
+    """The index of a layout position given by index or by name."""
+    if isinstance(token, int):
+        if not 0 <= token < len(names):
+            raise SpecBindingError(f"{what} index {token} out of range")
+        return token
+    if token in names:
+        return names.index(token)
+    raise SpecBindingError(f"unknown {what} name {_quote(token)}")
+
+
 class _PredCompiler:
-    def __init__(self, layout: VariableLayout | None):
+    def __init__(self, layout: VariableLayout):
         self.layout = layout
         self.max_slot = -1
-
-    def _bind(self, names: tuple[str, ...], token, what: str) -> int:
-        if isinstance(token, int):
-            if self.layout is not None and not 0 <= token < len(names):
-                raise SpecBindingError(f"{what} index {token} out of range")
-            return token
-        if self.layout is None:
-            raise SpecBindingError(f"cannot bind {what} name {_quote(token)} without a layout")
-        if token in names:
-            return names.index(token)
-        raise SpecBindingError(f"unknown {what} name {_quote(token)}")
 
     def compile(self, s: Sexpr):
         """Returns (type, fn) with type in {'num', 'bool'}."""
@@ -138,7 +138,7 @@ class _PredCompiler:
         if head == "data":
             if len(s) != 2:
                 raise SpecSyntaxError("(data INDEX)")
-            idx = self._bind(self.layout.data if self.layout else (), s[1], "data")
+            idx = _bind(self.layout.data, s[1], "data")
             return "num", lambda d, m, L: d[idx]
         if head == "map":
             if len(s) != 3 or not isinstance(s[1], int):
@@ -147,7 +147,7 @@ class _PredCompiler:
             if slot < 0:
                 raise SpecSyntaxError("map slot must be non-negative")
             self.max_slot = max(self.max_slot, slot)
-            idx = self._bind(self.layout.maps if self.layout else (), s[2], "map")
+            idx = _bind(self.layout.maps, s[2], "map")
             return "num", lambda d, m, L: m[slot][idx]
         if head in _ARITH:
             if len(s) < 3:
@@ -193,7 +193,7 @@ class _PredCompiler:
         return fn
 
 
-def compile_predicate(s: Sexpr, slots: int, layout: VariableLayout | None) -> ObliviousPredicate:
+def compile_predicate(s: Sexpr, slots: int, layout: VariableLayout) -> ObliviousPredicate:
     c = _PredCompiler(layout)
     typ, fn = c.compile(s)
     if typ != "bool":
@@ -204,8 +204,7 @@ def compile_predicate(s: Sexpr, slots: int, layout: VariableLayout | None) -> Ob
     return ObliviousPredicate(_format_sexpr(s), slots, fn)
 
 
-def parse_predicate(text: str, slots: int = 1,
-                    layout: VariableLayout | None = None) -> ObliviousPredicate:
+def parse_predicate(text: str, layout: VariableLayout, slots: int = 1) -> ObliviousPredicate:
     """Convenience: compile a single predicate expression from text."""
     forms = _read_sexprs(text)
     if len(forms) != 1:
@@ -245,7 +244,7 @@ class SplitInvariant(Record):
 
 
 def trivial_invariant() -> SplitInvariant:
-    return SplitInvariant((), (), parse_predicate("true"))
+    return SplitInvariant((), (), parse_predicate("true", VariableLayout((), (), ())))
 
 
 class SpecFile(Record):
@@ -265,7 +264,7 @@ class SpecFile(Record):
         return out
 
 
-def parse_spec(text: str, layout: VariableLayout | None = None) -> SpecFile:
+def parse_spec(text: str, layout: VariableLayout) -> SpecFile:
     """Parse a spec file holding at most one invariant and any number of
     properties. A missing invariant defaults to the unconstrained one."""
     props: list[GuardedProperty] = []
@@ -284,7 +283,7 @@ def parse_spec(text: str, layout: VariableLayout | None = None) -> SpecFile:
     return SpecFile(tuple(props), invariant or trivial_invariant())
 
 
-def _parse_property(form: list, layout: VariableLayout | None, name: str) -> GuardedProperty:
+def _parse_property(form: list, layout: VariableLayout, name: str) -> GuardedProperty:
     rest = form[1:]
     if not rest or not (isinstance(rest[0], list) and rest[0][:1] == ["k"]):
         raise SpecSyntaxError("property must start with (k INT)")
@@ -309,9 +308,7 @@ def _parse_property(form: list, layout: VariableLayout | None, name: str) -> Gua
                     raise SpecSyntaxError("literal guards take a non-negative address")
                 lits.add((item[1], slot))
             else:
-                idx = _PredCompiler(layout)._bind(
-                    layout.roles if layout else (), item[1], "role")
-                roles.add((idx, slot))
+                roles.add((_bind(layout.roles, item[1], "role"), slot))
         elif item[0] == "xi":
             if len(item) != 2:
                 raise SpecSyntaxError("(xi EXPR)")
@@ -325,7 +322,7 @@ def _parse_property(form: list, layout: VariableLayout | None, name: str) -> Gua
     return GuardedProperty(k, frozenset(lits), frozenset(roles), xi, name)
 
 
-def _parse_invariant(form: list, layout: VariableLayout | None) -> SplitInvariant:
+def _parse_invariant(form: list, layout: VariableLayout) -> SplitInvariant:
     lits: list[tuple[int, ObliviousPredicate]] = []
     roles: list[tuple[int, ObliviousPredicate]] = []
     else_pred = None
@@ -339,8 +336,8 @@ def _parse_invariant(form: list, layout: VariableLayout | None) -> SplitInvarian
         elif item[0] == "role":
             if len(item) != 3:
                 raise SpecSyntaxError("(role INDEX EXPR)")
-            idx = _PredCompiler(layout)._bind(layout.roles if layout else (), item[1], "role")
-            roles.append((idx, compile_predicate(item[2], 1, layout)))
+            roles.append((_bind(layout.roles, item[1], "role"),
+                          compile_predicate(item[2], 1, layout)))
         elif item[0] == "else":
             if len(item) != 2:
                 raise SpecSyntaxError("(else EXPR)")

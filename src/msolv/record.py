@@ -4,8 +4,8 @@ A subclass names its fields as annotations, after its bases' fields; a class
 attribute gives a default. Records are read-only and equal only to records of
 their own class with equal compared fields. A ``_``-named field is neither
 compared nor shown; fields of a ``keyword=True`` class are keyword-only and
-not compared; a ``mutable=True`` class is assignable and unhashable. Unlike
-``@dataclass``, nothing is generated and compiled per class at import.
+not compared. Unlike ``@dataclass``, nothing is generated and compiled per
+class at import.
 """
 
 
@@ -15,7 +15,7 @@ class Record:
     _compared: tuple[str, ...] = ()  # fields that == and hash read
     _defaults: dict = {}
 
-    def __init_subclass__(cls, keyword=False, mutable=False, **kwargs):
+    def __init_subclass__(cls, keyword=False, **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(cls.__dict__.get("__annotations__", ()))
         cls._names += own
@@ -23,8 +23,6 @@ class Record:
             cls._fields += own
             cls._compared += tuple(n for n in own if n[0] != "_")
         cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
-        if mutable:
-            cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, *args, **kwargs):
         cls = type(self)

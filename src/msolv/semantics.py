@@ -425,8 +425,8 @@ def _generate(bundle: ContractBundle) -> tuple[_CompiledBundle, _CompiledBundle]
 
 def _compiled(bundle: ContractBundle) -> tuple[_CompiledBundle, _CompiledBundle]:
     cbs = getattr(bundle, "_compiled_cache", None)
-    if cbs is None:
-        cbs = bundle._compiled_cache = _generate(bundle)  # type: ignore[attr-defined]
+    if cbs is None:  # kept in the read-only bundle's __dict__, as cached_property does
+        cbs = bundle.__dict__["_compiled_cache"] = _generate(bundle)
     return cbs
 
 

@@ -28,7 +28,7 @@ class VariableLayout(Record):
     maps: tuple[str, ...]
 
 
-class ContractBundle(Record, mutable=True):
+class ContractBundle(Record):
     """A validated bundle: AST, layout, lowered functions, account map."""
 
     unit: A.SourceUnit

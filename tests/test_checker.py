@@ -108,8 +108,8 @@ def test_assert_failure_reaches_cex_property(auction_ptg, w8):
                    "function f(uint a) public { assert(a < 2); } }")
     from msolv.ptg import build_ptg, taint_summary
     g = build_ptg(taint_summary(b))
-    theta = parse_spec("(invariant (else true))").invariant
-    phi = parse_spec("(property (k 0) (xi true))").properties[0]
+    theta = parse_spec("(invariant (else true))", b.layout).invariant
+    phi = parse_spec("(property (k 0) (xi true))", b.layout).properties[0]
     v = check_safety(b, g, theta, phi, w8)
     assert v.result == "cex_property"
     assert v.trace.states[-1].is_bottom

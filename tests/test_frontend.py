@@ -6,6 +6,7 @@ import msolv
 from msolv import ast_nodes as A
 from msolv import ir
 from msolv.errors import MicroSolSyntaxError, UnknownFunction, ValidationError
+from msolv.lexer import tokenize
 from msolv.parser import parse
 from msolv.validator import validate
 
@@ -236,16 +237,57 @@ def test_validation_rules(src, rule, pos, message):
     assert str(exc.value) == f"{pos}: [{rule}] {message}"
 
 
-def test_syntax_error_carries_position():
+@pytest.mark.parametrize("source,message", [
+    ("contract C {\n  constructor() public { require(x <= 2); }\n}",
+     "2:37: expected an expression, found '='"),
+    # The end of input is reported where the input ends, after a trailing comment.
+    ("contract C {\n    uint x; // the end",
+     "2:23: expected address or bool or ident or mapping or uint, found 'end of input'"),
+])
+def test_syntax_error_carries_position(source, message):
     with pytest.raises(MicroSolSyntaxError) as exc:
-        parse("contract C {\n  constructor() public { require(x <= 2); }\n}")
+        parse(source)
     assert exc.value.line == 2
-    assert str(exc.value) == "2:37: expected an expression, found '='"
+    assert str(exc.value) == message
 
 
 def test_line_comments_allowed():
     src = "// header\ncontract C { // inline\n constructor() public {} }"
     assert parse(src).contracts[0].name == "C"
+
+
+# Each source gives its (kind, text, line, col) tokens, or its error.
+@pytest.mark.parametrize("source,expected", [
+    ("x²", [("ident", "x²", 1, 1), ("eof", "", 1, 3)]),  # "²" is alphanumeric,
+    ("²x", "1:1: unexpected character '²'"),            # but not alphabetic
+    ("٣", "1:1: unexpected character '٣'"),              # a digit, but not ASCII
+    ("\f", "1:1: unexpected character '\\x0c'"),
+    ("12ab", [("int", "12", 1, 1), ("ident", "ab", 1, 3), ("eof", "", 1, 5)]),
+    ("a//b\nc", [("ident", "a", 1, 1), ("ident", "c", 2, 1), ("eof", "", 2, 2)]),
+    ("\r\tx", [("ident", "x", 1, 3), ("eof", "", 1, 4)]),
+    ("=>", [("=>", "=>", 1, 1), ("eof", "", 1, 3)]),
+    ("= >", [("=", "=", 1, 1), (">", ">", 1, 3), ("eof", "", 1, 4)]),
+    ("9" * 5000, "1:1: numeral of 5000 digits is too long"),
+    ("contract C {\n    uint x; // the end",
+     [("contract", "contract", 1, 1), ("ident", "C", 1, 10), ("{", "{", 1, 12),
+      ("uint", "uint", 2, 5), ("ident", "x", 2, 10), (";", ";", 2, 11), ("eof", "", 2, 23)]),
+])
+def test_lexer_edge_cases(source, expected):
+    if isinstance(expected, str):
+        with pytest.raises(MicroSolSyntaxError) as exc:
+            tokenize(source)
+        assert str(exc.value) == expected
+    else:
+        assert [(t.kind, t.text, t.line, t.col) for t in tokenize(source)] == expected
+
+
+def test_parameter_and_argument_lists_of_three():
+    unit = parse("contract C { constructor() public {} "
+                 "function f(uint a, address b, bool c) public { f(a, b, c); } }")
+    (f,) = unit.contracts[0].functions
+    assert f.params == (A.Param(A.TypeName("uint"), "a"), A.Param(A.TypeName("address"), "b"),
+                        A.Param(A.TypeName("bool"), "c"))
+    assert f.body == (A.ExprStmt(A.Call("f", (A.Name("a"), A.Name("b"), A.Name("c")))),)
 
 
 @pytest.mark.parametrize("name", ["auction.msol", "auction_plain.msol"])
@@ -332,7 +374,7 @@ def test_records_compare_by_class_and_fields():
     with pytest.raises(TypeError):
         ir.RNum(1, width=8)
     bundle = validate(parse(MINIMAL))
-    bundle._compiled_cache = "compiled"
-    assert bundle._compiled_cache == "compiled"
+    with pytest.raises(AttributeError):
+        bundle.tx_order = ()
     with pytest.raises(TypeError):
         hash(bundle)

@@ -68,8 +68,8 @@ def test_interference_count_after_bid(auction, auction_spec):
     assert all([u.id for u in s.users] == [0, 1, 2, 3] for s in succ)
 
 
-def test_interference_full_havoc_single_user():
-    theta = parse_spec("(invariant (else true))").invariant
+def test_interference_full_havoc_single_user(auction):
+    theta = parse_spec("(invariant (else true))", auction.layout).invariant
     state = BundleState(ControlState((), (), 1), (UserRecord(0, (0,)), UserRecord(1, (0,))))
     succ = interference_successors(theta, state, DataDomain(1))
     assert len(succ) == 4  # 2 users x 2 values each

@@ -29,29 +29,29 @@ def control(lb=0, stopped=0, total=0, mgr=2):
 
 # ---------------------------------------------------------------- parsing
 
-def test_parse_theta1_structure():
-    spec = parse_spec(THETA1)
+def test_parse_theta1_structure(auction):
+    spec = parse_spec(THETA1, auction.layout)
     theta = spec.invariant
     assert [a for a, _ in theta.lits] == [0]
     assert theta.roles == ()
 
 
-def test_parse_phi1_structure():
-    spec = parse_spec(PHI1)
+def test_parse_phi1_structure(auction):
+    spec = parse_spec(PHI1, auction.layout)
     (phi,) = spec.properties
     assert phi.k == 1
     assert phi.lits == {(0, 0)}
     assert phi.roles == frozenset()
 
 
-def test_parse_empty_invariant_unconstrained():
-    theta = parse_spec("(invariant (else true))").invariant
+def test_parse_empty_invariant_unconstrained(auction):
+    theta = parse_spec("(invariant (else true))", auction.layout).invariant
     assert theta.lits == () and theta.roles == ()
     assert eval_split(theta, control(), user(5, 7), D8)
 
 
-def test_missing_invariant_defaults_to_trivial():
-    spec = parse_spec(PHI1)
+def test_missing_invariant_defaults_to_trivial(auction):
+    spec = parse_spec(PHI1, auction.layout)
     assert spec.invariant == trivial_invariant()
     assert eval_split(spec.invariant, control(), user(0, 9), D8)
 
@@ -167,57 +167,46 @@ def test_list_in_operator_position_is_one_error_line(capsys, tmp_path):
     assert out.out == "" and out.err == "msolv: SpecSyntaxError: bad operator (x)\n"
 
 
-@pytest.mark.parametrize("text,message", [
-    (_else("(= (data nosuch) 0)"), "cannot bind data name 'nosuch' without a layout"),
-    (_else("(= (map 0 nosuch) 0)"), "cannot bind map name 'nosuch' without a layout"),
-    ("(invariant (role nosuch true) (else true))",
-     "cannot bind role name 'nosuch' without a layout"),
-])
-def test_spec_names_need_a_layout(text, message):
-    with pytest.raises(SpecBindingError) as exc:
-        parse_spec(text)
-    assert str(exc.value) == message
-
-
-def test_predicate_text_is_one_expression():
+def test_predicate_text_is_one_expression(auction):
     with pytest.raises(SpecSyntaxError) as exc:
-        parse_predicate("true false")
+        parse_predicate("true false", auction.layout)
     assert str(exc.value) == "expected exactly one expression"
 
 
-def test_conflicting_guards_warn():
+def test_conflicting_guards_warn(auction):
     spec = parse_spec("(property (k 2) (guard-lit 0 slot 0) (guard-lit 3 slot 0) "
-                      "(guard-lit 4 slot 1) (xi true))")
+                      "(guard-lit 4 slot 1) (xi true))", auction.layout)
     assert spec.warnings == ["property-1: slot 0 carries 2 guards; the property "
                              "is vacuous unless they coincide"]
-    assert parse_spec("(property (k 1) (guard-lit 0 slot 0) (xi true))").warnings == []
+    single = parse_spec("(property (k 1) (guard-lit 0 slot 0) (xi true))", auction.layout)
+    assert single.warnings == []
 
 
-def test_predicate_arithmetic_wraps():
-    p = parse_predicate("(= (+ (data 0) 1) 0)")
+def test_predicate_arithmetic_wraps(auction):
+    p = parse_predicate("(= (+ (data 0) 1) 0)", auction.layout)
     c = ControlState((), (7,), 1)
     assert p.evaluate(c, (), DataDomain(3))
     assert not p.evaluate(c, (), DataDomain(4))
 
 
-def test_predicate_division_by_zero_is_zero():
-    p = parse_predicate("(= (/ 5 (data 0)) 0)")
+def test_predicate_division_by_zero_is_zero(auction):
+    p = parse_predicate("(= (/ 5 (data 0)) 0)", auction.layout)
     assert p.evaluate(ControlState((), (0,), 1), (), D8)
 
 
 # ---------------------------------------------------------------- eval_guarded
 
-def test_eval_guarded_phi1_examples():
-    (phi,) = parse_spec(PHI1).properties
+def test_eval_guarded_phi1_examples(auction):
+    (phi,) = parse_spec(PHI1, auction.layout).properties
     c = control()
     assert eval_guarded(phi, c, (user(0, 0),), D8) is True
     assert eval_guarded(phi, c, (user(0, 5),), D8) is False
     assert eval_guarded(phi, c, (user(3, 5),), D8) is True  # guard unbound
 
 
-def test_eval_guarded_role_guard():
-    (phi,) = parse_spec(
-        "(property (k 1) (guard-role 0 slot 0) (xi (= (map 0 0) 0)))").properties
+def test_eval_guarded_role_guard(auction):
+    (phi,) = parse_spec("(property (k 1) (guard-role 0 slot 0) (xi (= (map 0 0) 0)))",
+                        auction.layout).properties
     c = control(mgr=2)
     assert eval_guarded(phi, c, (user(2, 1),), D8) is False
     assert eval_guarded(phi, c, (user(3, 1),), D8) is True
@@ -230,25 +219,25 @@ def _state(bids, mgr=2, lb=0, total=0):
     return BundleState(control(lb=lb, total=total, mgr=mgr), users)
 
 
-def test_check_universal_phi1():
-    (phi,) = parse_spec(PHI1).properties
+def test_check_universal_phi1(auction):
+    (phi,) = parse_spec(PHI1, auction.layout).properties
     assert check_universal(phi, _state([0, 0, 0, 0]), D8) is True
     assert check_universal(phi, _state([7, 0, 0, 0]), D8) == (0,)
 
 
-def test_check_universal_k0_control_only():
-    (phi,) = parse_spec("(property (k 0) (xi (= (data 0) 0)))").properties
+def test_check_universal_k0_control_only(auction):
+    (phi,) = parse_spec("(property (k 0) (xi (= (data 0) 0)))", auction.layout).properties
     assert check_universal(phi, _state([0, 0]), D8) is True
     assert check_universal(phi, _state([0, 0], lb=3), D8) == ()
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 7), min_size=2, max_size=5), st.integers(0, 4))
-def test_check_universal_matches_expansion(bids, mgr):
+def test_check_universal_matches_expansion(auction, bids, mgr):
     # Independent quantifier expansion for a k=2 property mixing both guards.
     (phi,) = parse_spec(
         "(property (k 2) (guard-role 0 slot 0) (guard-lit 0 slot 1) "
-        "(xi (= (map 0 0) (map 1 0))))").properties
+        "(xi (= (map 0 0) (map 1 0))))", auction.layout).properties
     state = _state(bids, mgr=mgr)
     expected = True
     for combo in itertools.permutations(range(len(bids)), 2):
@@ -264,8 +253,8 @@ def test_check_universal_matches_expansion(bids, mgr):
 
 # ---------------------------------------------------------------- eval_split
 
-def test_eval_split_theta1_examples():
-    theta = parse_spec(THETA1).invariant
+def test_eval_split_theta1_examples(auction):
+    theta = parse_spec(THETA1, auction.layout).invariant
     assert eval_split(theta, control(), user(0, 0), D8) is True
     assert eval_split(theta, control(), user(0, 3), D8) is False
     assert eval_split(theta, control(), user(3, 9), D8) is True
@@ -280,9 +269,9 @@ def test_eval_split_theta_u_hand_evaluated(auction, p2_spec):
     assert eval_split(theta, c, user(4, 9), D8) is False
 
 
-def test_eval_split_role_guard_dispatch():
+def test_eval_split_role_guard_dispatch(auction):
     theta = parse_spec("(invariant (role 0 (= (map 0 0) 0)) "
-                       "(else (> (map 0 0) 0)))").invariant
+                       "(else (> (map 0 0) 0)))", auction.layout).invariant
     c = control(mgr=2)
     assert eval_split(theta, c, user(2, 0), D8) is True
     assert eval_split(theta, c, user(2, 1), D8) is False
@@ -305,8 +294,8 @@ def test_binding_picks_literal_then_role_predicates_else_the_default(relay):
     assert len({lit0, owner, theta.else_pred}) == 3
 
 
-def test_split_is_per_user_decomposable():
-    theta = parse_spec(THETA1).invariant
+def test_split_is_per_user_decomposable(auction):
+    theta = parse_spec(THETA1, auction.layout).invariant
     rng = random.Random(11)
     for _ in range(100):
         users = tuple(user(i, rng.randrange(8)) for i in range(4))
@@ -320,10 +309,11 @@ def test_split_is_per_user_decomposable():
 
 @settings(max_examples=200, deadline=None)
 @given(st.permutations(list(range(5))), st.lists(st.integers(0, 7), min_size=5, max_size=5))
-def test_address_obliviousness(perm, bids):
+def test_address_obliviousness(auction, perm, bids):
     # k-address-similar tuples (equal map vectors, different ids) evaluate
     # identically under any predicate core.
-    pred = parse_predicate("(=> (< (map 0 0) 4) (= (map 1 0) (map 1 0)))", slots=2)
+    pred = parse_predicate("(=> (< (map 0 0) 4) (= (map 1 0) (map 1 0)))", auction.layout,
+                           slots=2)
     c = control(lb=3)
     u1 = (user(0, bids[0]), user(1, bids[1]))
     u2 = (user(perm[0], bids[0]), user(perm[1], bids[1]))

@@ -152,14 +152,20 @@ def test_semantic_pt_matches_naive_with_a_write_only_field():
         assert semantic_pt(bundle, 3, act, D1) == semantic_pt_naive(bundle, 3, act, D1), act
 
 
-def test_semantic_pt_matches_naive_where_only_a_fault_reads_a_role():
-    # Only the faulting path compares the sender with r, so the role's
-    # participation shows only in a pair of paths that part at m and of
-    # which exactly one faults.
-    bundle = msolv.load("contract Q { address r; mapping(address => uint) m; "
-                        "constructor(address a) public { r = a; } "
-                        "function f() public { if (m[msg.sender] == 1) "
-                        "{ assert(msg.sender != r); } } }")
+@pytest.mark.parametrize("src", [
+    "contract Q { address r; mapping(address => uint) m; "
+    "constructor(address a) public { r = a; } "
+    "function f() public { if (m[msg.sender] == 1) { assert(msg.sender != r); } } }",
+    "contract Q { mapping(address => uint) m; constructor() public {} "
+    "function f() public { if (m[msg.sender] == 1) { assert(msg.sender != address(2)); } } }",
+    "contract Q { mapping(address => uint) m; constructor() public {} "
+    "function f(address b) public { if (m[msg.sender] == 1) { assert(msg.sender != b); } } }",
+], ids=["role", "literal", "argument"])
+def test_semantic_pt_matches_naive_where_only_a_fault_reads_an_address(src):
+    # Only the faulting path compares the sender with a role, a literal or
+    # an argument, so that address participates only in a pair of paths
+    # that part at m and of which exactly one faults.
+    bundle = msolv.load(src)
     for act in enumerate_actions(bundle, range(3), D1):
         assert semantic_pt(bundle, 3, act, D1) == semantic_pt_naive(bundle, 3, act, D1), act
 
