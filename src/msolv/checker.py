@@ -177,10 +177,13 @@ class _LocalEngine:
         ``frontier``, which is None for a frozen class: frozen classes are
         reachable, so the property must hold on them, but they are never
         expanded. Returns the property's violation there as ``_cex``
-        arguments, or None."""
+        arguments, or None. A class past the state budget raises
+        BudgetExceeded, so the budget holds inside an expansion too."""
         if key in self.parents:
             return None
         self.parents[key] = link
+        if len(self.parents) > self.budget_states:
+            raise BudgetExceeded("state budget exceeded")
         if frontier is not None:
             frontier.append(key)
         w = None if phi is None else self._phi_witness(phi, key)
@@ -289,8 +292,6 @@ class _LocalEngine:
         while frontier and not first:
             next_frontier: list[tuple] = []
             for key in within(self.deadline, frontier):
-                if len(self.parents) > self.budget_states:
-                    raise BudgetExceeded("state budget exceeded")
                 vio = self._expand(key, phi, next_frontier)
                 first = first or vio
             frontier = next_frontier

@@ -27,6 +27,9 @@ The implicit guards read only the sender, the transaction name,
 before any generated code runs: once per :func:`step` call and once per
 :func:`explore` call, never again for a replay after a fork. Only a
 transaction they let through runs its body, in :func:`_run_transaction`.
+:func:`step` memoises the split of the last users tuple it was given (its
+slot map and map vectors), keyed by identity, so stepping one state through
+every action splits its users once.
 """
 
 from __future__ import annotations
@@ -500,16 +503,30 @@ def _run_transaction(cb: _CompiledBundle, control: ControlState,
     return "ok", ControlState(tuple(map(int, roles)), tuple(data), 1), writes
 
 
+# The users tuple step split last, its slot map and its map vectors. It
+# holds the tuple itself, so no other tuple can take the identity it is
+# keyed by while it is here.
+_last_split: tuple = (None, None, None)
+
+
 def step(bundle: ContractBundle, state: BundleState, action: Action,
          domain: DataDomain) -> BundleState:
-    """Deterministic transition function over full bundle states."""
+    """Deterministic transition function over full bundle states.
+
+    The split of ``state.users`` into a slot map and map vectors is kept for
+    the last users tuple, by identity: a caller that steps one state through
+    every action, as ``global_oracle`` does, splits it once."""
+    global _last_split
     control = state.control
     if control is BOTTOM:
         raise ValueError("cannot step from the error state")
     cb = _compiled(bundle)[0]
     users = state.users
-    ids, vectors = zip(*users)
-    slot_of = _slot_of(ids)
+    last, slot_of, vectors = _last_split
+    if users is not last:
+        ids, vectors = zip(*users)
+        slot_of = _slot_of(ids)
+        _last_split = (users, slot_of, vectors)
     outcome = _settle(cb, control, slot_of, action)
     if outcome is None:
         outcome, post, writes = _run_transaction(cb, control, slot_of, vectors, action,

@@ -167,11 +167,20 @@ def test_budget_exhaustion(auction, auction_ptg, auction_spec):
 
 def test_state_budget_is_checked_per_class(auction, auction_ptg, auction_spec):
     # A whole BFS level can hold many classes; the budget must stop the
-    # search inside the level, within one class expansion.
+    # search inside the level, at the first class over it.
     v = check_compositional(auction, auction_ptg, auction_spec.invariant,
                             DataDomain(3), budget_states=60)
     assert v.result == "exhausted"
-    assert v.stats.states <= 2 * 60
+    assert v.stats.states <= 60 + 1
+
+
+def test_state_budget_is_checked_where_a_class_is_recorded(auction, auction_ptg, auction_spec):
+    # At the default width one expansion of the initial class records
+    # hundreds of classes; the budget must stop it at the first one over.
+    v = check_compositional(auction, auction_ptg, auction_spec.invariant,
+                            DataDomain(), budget_states=10)
+    assert v.result == "exhausted"
+    assert v.stats.states <= 11
 
 
 def test_verdict_json_schema(auction, auction_ptg, auction_spec, bad_spec):

@@ -187,6 +187,11 @@ def test_predicate_arithmetic_wraps(auction):
     c = ControlState((), (7,), 1)
     assert p.evaluate(c, (), DataDomain(3))
     assert not p.evaluate(c, (), DataDomain(4))
+    zero, three = ControlState((), (0,), 1), ControlState((), (3,), 1)
+    assert parse_predicate("(= (- (data 0) 1) 7)", auction.layout).evaluate(
+        zero, (), DataDomain(3))
+    assert parse_predicate("(= (* (data 0) 3) 1)", auction.layout).evaluate(
+        three, (), DataDomain(3))
 
 
 def test_predicate_division_by_zero_is_zero(auction):

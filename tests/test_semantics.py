@@ -175,6 +175,38 @@ def test_step_determinism_and_address_preservation(auction, w8):
     assert [u.id for u in post.users] == [u.id for u in s.users]
 
 
+def _fresh_step(bundle, state, action, domain):
+    """step on an equal state built anew: its users tuple is a copy, and a
+    step over other ids comes first, so no split of an earlier state can
+    stand in for its own."""
+    step(bundle, init_state(bundle, range(5)), tx("stop", 2), domain)
+    return step(bundle, BundleState(state.control, tuple(list(state.users))), action, domain)
+
+
+def test_step_splits_each_users_tuple_anew(auction, auction_plain, w8):
+    # step keeps the split of the last users tuple it saw. States with equal
+    # ids but other vectors, one users tuple under two bundles, and a step
+    # from the error state in between must each give what a fresh state gives.
+    ids = range(4)
+    a = BundleState(ControlState((2,), (5, 0, 5), 1),
+                    tuple(UserRecord(i, (5 if i == 3 else 0,)) for i in ids))
+    b = BundleState(a.control, tuple(UserRecord(i, (2 if i == 3 else 1,)) for i in ids))
+    plain = BundleState(ControlState((2,), (5, 0), 1), a.users)
+    calls = [(auction, a), (auction, b), (auction, a), (auction_plain, plain),
+             (auction, BundleState(BOTTOM, b.users)), (auction, b)]
+
+    def outcome(run, bundle, state):
+        try:
+            return run(bundle, state, bid(3, 7), w8)
+        except ValueError:
+            return "error state"
+
+    results = [outcome(step, bundle, state) for bundle, state in calls]
+    assert results[0].control.data[2] == 7 and results[1].control.data[2] == 10  # _sum
+    assert results[4] == "error state"
+    assert results == [outcome(_fresh_step, bundle, state) for bundle, state in calls]
+
+
 def test_revert_atomicity_no_partial_writes(w8):
     src = ("contract R { uint x; constructor() public {} "
            "function f(uint a) public { x = a; require(a < 2); } }")

@@ -100,6 +100,34 @@ def test_a_two_user_property_needs_every_safety_representative():
     assert global_oracle(bundle, 4, phi, D1).result == "cex_property"
 
 
+SET_AND_RESET = """contract C {
+    mapping(address => uint) m;
+    uint x;
+    constructor() public {}
+    function f() public { m[msg.sender] = 1; x = 1; }
+    function g() public { m[msg.sender] = 0; x = 0; }
+}"""
+# g resets its sender's cell and x, so it breaks the invariant only for a
+# user that is neither a guard account nor the sender: the neighbourhood is
+# {0, 1} and one explicit representative, and only the compositionality
+# rule's arbitrary user is such a user.
+ONE_IS_SET = "(=> (= (map 0 0) 1) (= (data 0) 1))"
+NEEDS_ARBITRARY_USER = ("(invariant (lit 0 (= (map 0 0) 0)) (lit 1 (= (map 0 0) 0))"
+                        f" (else {ONE_IS_SET})) (property (k 1) (xi {ONE_IS_SET}))")
+
+
+def test_breaking_the_invariant_needs_the_arbitrary_user():
+    bundle = msolv.load(SET_AND_RESET)
+    spec = parse_spec(NEEDS_ARBITRARY_USER, bundle.layout)
+    assert _assert_agrees_with_the_oracle(bundle, spec, D1) is None
+    v = check_compositional(bundle, build_ptg(taint_summary(bundle)), spec.invariant, D1)
+    assert v.result == "cex_invariant"
+    assert [u.id for u in v.trace.states[0].users] == [0, 1, 2, 3]
+    phi = spec.properties[0]
+    assert global_oracle(bundle, 3, phi, D1).is_safe
+    assert global_oracle(bundle, 4, phi, D1).result == "cex_property"
+
+
 # ---------------------------------------------------------------- reference
 
 def _reference_search(bundle, ptg, theta, phi, domain):
